@@ -15,8 +15,8 @@ Quick start::
     chip = design_scale_out_processor(core_type="ooo", node=NODE_40NM)
     print(chip.summary())
 
-See ``README.md`` for the architecture overview and ``DESIGN.md`` for the
-per-experiment index.
+See ``docs/architecture.md`` for the architecture overview and
+``docs/running.md`` for the experiment catalog.
 """
 
 from repro.core import (

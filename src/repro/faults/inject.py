@@ -1,8 +1,11 @@
 """Fault injection into the event-driven service-cluster engine.
 
-The injection path mirrors :meth:`repro.service.cluster.ClusterSimulation._run_event`
-with three changes, each driven purely by the :class:`~repro.faults.events.FaultSchedule`
-(never a live RNG, so determinism is inherited from the schedule):
+The injection path follows the un-faulted event oracle,
+:func:`repro.service.cluster.serve_event` (same request, routing-stream and
+scheduling order), with three changes, each driven purely by the
+:class:`~repro.faults.events.FaultSchedule` (never a live RNG, so determinism
+is inherited from the schedule).  It keeps its own wiring rather than
+branching inside the shared oracle:
 
 * servers are :class:`FaultableServer` stations that can **crash** (queued and
   in-flight requests are lost; an epoch counter invalidates their pending

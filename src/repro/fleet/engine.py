@@ -10,14 +10,12 @@ epoch is a fluid-then-discrete step:
    (class, origin) demand into per-datacenter fluid shares;
 3. the :mod:`traffic generator <repro.fleet.traffic>` realizes each
    datacenter's merged request stream with seeded vectorized draws;
-4. the service kernels simulate each datacenter-epoch chunk to completion.
+4. the service seam simulates each datacenter-epoch chunk to completion.
 
 **Determinism contract.** Both engines consume identical generated arrays and
-compute completion times with identical float expressions, so results are
-bitwise equal: the fast path runs the :func:`~repro.service.cluster.
-fcfs_completion_times` / :func:`~repro.service.cluster.
-balanced_completion_times` kernels, the event path replays the same chunks
-through :class:`~repro.sim.engine.EventQueue`-driven servers.  Epochs are
+serve them through the service layer's one seam, so results are bitwise
+equal: the fast path calls :func:`~repro.service.cluster.serve`, the event
+path its oracle :func:`~repro.service.cluster.serve_event`.  Epochs are
 *stateless*: each chunk starts from an empty cluster and runs to completion,
 so overload shows up as intra-epoch queueing (utilization above 1.0) rather
 than cross-epoch backlog -- the approximation is documented in
@@ -47,14 +45,14 @@ from repro.fleet.routing import (
     route_demand,
 )
 from repro.fleet.traffic import TrafficChunk, generate_chunk, routing_seed
-from repro.service.cluster import (
-    FAST_POLICIES,
-    STATE_FREE_POLICIES,
+from repro.service.balancer import BALANCER_POLICIES
+# The kernels stay importable here: the benchmark's tracer patches them by name.
+from repro.service.cluster import (  # noqa: F401
     balanced_completion_times,
     fcfs_completion_times,
+    serve,
+    serve_event,
 )
-from repro.service.queueing import Request, RequestServer
-from repro.sim.engine import EventQueue
 
 _ENGINES = ("auto", "fast", "event")
 
@@ -113,10 +111,10 @@ class FleetConfig:
             raise ValueError(
                 f"unknown routing policy {self.routing!r}; known: {ROUTING_POLICIES}"
             )
-        if any(dc.policy not in FAST_POLICIES for dc in self.datacenters):
-            raise ValueError(
-                f"datacenter policies must be fast-capable: {FAST_POLICIES}"
-            )
+        for dc in self.datacenters:
+            if dc.policy not in BALANCER_POLICIES:
+                known = sorted(BALANCER_POLICIES)
+                raise ValueError(f"unknown balancer policy {dc.policy!r}; known: {known}")
         if self.origin_weights is not None:
             if len(self.origin_weights) != len(self.datacenters):
                 raise ValueError("origin_weights must give one weight per datacenter")
@@ -162,9 +160,9 @@ class FleetConfig:
 class FleetSimulation:
     """One simulated fleet day, runnable on the fast or the event engine.
 
-    ``engine="auto"`` (default) always resolves to the fast kernels -- every
-    datacenter policy is fast-capable by construction; ``engine="event"`` is
-    the reference escape hatch the equivalence suite compares against.
+    ``engine="auto"`` (default) always resolves to the fast engine, which
+    covers every balancing policy; ``engine="event"`` is the reference
+    escape hatch the equivalence suite compares against.
     ``collect_samples=True`` additionally keeps exact per-class latency
     sample tuples (small runs only; the day-scale path sticks to histograms).
     """
@@ -230,65 +228,29 @@ class FleetSimulation:
     def _fast_chunk(
         self, chunk: TrafficChunk, datacenter: Datacenter, servers: int, rseed: int
     ) -> np.ndarray:
-        """Completion times of one chunk on the fast kernels."""
-        arrivals = chunk.arrivals.tolist()
-        services = chunk.services.tolist()
-        if datacenter.policy in STATE_FREE_POLICIES:
-            if datacenter.policy == "round_robin":
-                assignment = [i % servers for i in range(len(arrivals))]
-            else:
-                rng = random.Random(rseed)
-                assignment = [rng.randrange(servers) for _ in arrivals]
-            completions = fcfs_completion_times(
-                arrivals, services, assignment, servers, datacenter.parallelism
-            )
-        else:
-            completions, _ = balanced_completion_times(
-                arrivals,
-                services,
-                datacenter.policy,
-                servers,
-                datacenter.parallelism,
-                random.Random(rseed),
-            )
+        """Completion times of one chunk on the fast engine."""
+        completions, _ = serve(
+            chunk.arrivals.tolist(), chunk.services.tolist(), datacenter.policy,
+            servers, datacenter.parallelism, random.Random(rseed),
+        )
         return np.array(completions, dtype=np.float64)
 
     def _event_chunk(
         self, chunk: TrafficChunk, datacenter: Datacenter, servers: int, rseed: int
     ) -> np.ndarray:
-        """Completion-derived latencies of one chunk on the event engine.
+        """Per-request latencies of one chunk on the event engine.
 
-        Returns completion times reconstructed as ``arrival + latency`` would
-        be circular; instead the recorder captures the event engine's
-        ``now - arrival`` at each completion, and the caller treats the
-        returned array exactly like ``completions - arrivals`` -- the two are
-        bitwise equal because the event engine's ``now`` at a completion *is*
-        the fast recurrence's ``start + service`` float.
+        The recorder captures the event engine's ``now - arrival`` at each
+        completion, and the caller treats the returned array exactly like
+        ``completions - arrivals`` -- the two are bitwise equal because the
+        event engine's ``now`` at a completion *is* the fast recurrence's
+        ``start + service`` float.
         """
-        from repro.service.balancer import make_balancer
-
-        engine = EventQueue()
         recorder = _ChunkRecorder(chunk.count)
-        stations = [
-            RequestServer(i, datacenter.parallelism, engine, recorder)
-            for i in range(servers)
-        ]
-        balancer = make_balancer(datacenter.policy)
-        routing_rng = random.Random(rseed)
-        requests = [
-            Request(index=index, arrival_s=arrival, service_s=service)
-            for index, (arrival, service) in enumerate(
-                zip(chunk.arrivals.tolist(), chunk.services.tolist())
-            )
-        ]
-        for request in requests:
-            engine.schedule_at(
-                request.arrival_s,
-                lambda request=request: stations[
-                    balancer.select(stations, routing_rng)
-                ].offer(request),
-            )
-        engine.run()
+        serve_event(
+            chunk.arrivals.tolist(), chunk.services.tolist(), datacenter.policy,
+            servers, datacenter.parallelism, random.Random(rseed), recorder,
+        )
         return np.array(recorder.latencies, dtype=np.float64)
 
     # ------------------------------------------------------------------ run

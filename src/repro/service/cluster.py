@@ -1,10 +1,13 @@
 """Cluster-level service simulation: arrivals -> balancer -> servers.
 
-:class:`ClusterSimulation` wires an open-loop arrival process, a load-balancing
-policy, and ``num_servers`` identical :class:`~repro.service.queueing.RequestServer`
-stations onto one :class:`~repro.sim.engine.EventQueue` and runs a fixed number
-of requests to completion.  Three independent seeded random streams keep the
-simulation deterministic *and* comparable across configurations:
+:func:`serve` is the one request-serving seam: it maps a load-balancing policy
+to a kernel and returns per-request completion times and server choices;
+:func:`serve_event` is its discrete-event oracle.  :class:`ClusterSimulation`
+and the fleet engine both serve through this pair.  A cluster run feeds an
+open-loop arrival process to ``num_servers`` identical G/G/k stations and runs
+a fixed number of requests to completion.  Three independent seeded random
+streams keep the simulation deterministic *and* comparable across
+configurations:
 
 * the **arrival** stream draws interarrival gaps -- with Poisson arrivals one
   uniform per request, so two runs with equal seeds and different rates see
@@ -28,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.service.arrivals import make_arrivals
-from repro.service.balancer import make_balancer
+from repro.service.balancer import BALANCER_POLICIES, make_balancer
 from repro.service.latency import LatencyCollector, LatencyStats
 from repro.service.queueing import Request, RequestServer
 from repro.service.servicetime import make_service_time
@@ -37,16 +40,6 @@ from repro.sim.engine import EventQueue
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids an import cycle)
     from repro.faults.events import FaultSchedule
     from repro.faults.metrics import DependabilityStats
-
-#: Policies whose routing decisions never read queue state; their simulations
-#: decompose into independent per-server FCFS recurrences and run on the
-#: vectorized fast engine.
-STATE_FREE_POLICIES = ("random", "round_robin")
-
-#: Every policy the fast engine reproduces bit-identically to the event
-#: engine: the state-free pair plus the queue-state-aware ``jsq``/``po2``,
-#: which :func:`balanced_completion_times` replays with lazy heaps.
-FAST_POLICIES = ("random", "round_robin", "jsq", "po2")
 
 _ENGINES = ("auto", "fast", "event")
 
@@ -66,7 +59,6 @@ def fcfs_completion_times(
     ``start = max(arrival, earliest free)``, ``completion = start + service``.
     The float expressions mirror the event engine exactly, so the returned
     times are bitwise equal to an :class:`~repro.sim.engine.EventQueue` run.
-    The fleet layer reuses this kernel for its per-epoch datacenter chunks.
     """
     unit_free = [[0.0] * parallelism for _ in range(num_servers)]
     completions = [0.0] * len(arrivals)
@@ -94,18 +86,18 @@ def balanced_completion_times(
 
     ``jsq`` and ``po2`` route on live backlogs, so the FCFS recurrence alone
     is not enough: the kernel additionally tracks each server's in-system
-    count (queued plus in service) at every arrival instant.  Two lazy heaps
-    make that O(log n) per request:
+    count (queued plus in service) at every arrival instant.
 
-    * a global ``(completion, server)`` heap drains finished requests -- with
+    * A global ``(completion, server)`` heap drains finished requests -- with
       the *strict* ``< t`` comparison, because the event engine schedules all
       arrivals before any completion and its tie-break is insertion order, so
       an arrival at exactly a completion's timestamp still sees that request
-      in the system;
-    * for ``jsq``, a ``(count, server)`` heap with stale-entry invalidation
-      yields the minimum-backlog server with the lowest-id tie-break --
-      exactly :class:`~repro.service.balancer.JoinShortestQueue`'s
-      ``min(..., key=(backlog, i))``.
+      in the system.
+    * ``jsq`` scans the counts with ``counts.index(min(counts))``: the
+      minimum-backlog server with the lowest-id tie-break, exactly
+      :class:`~repro.service.balancer.JoinShortestQueue`'s
+      ``min(..., key=(backlog, i))``.  The scan is linear in ``num_servers``
+      but runs in C, which beats a heap at the cluster sizes simulated here.
 
     ``po2`` replays :class:`~repro.service.balancer.PowerOfTwoChoices`'s draw
     sequence from ``routing_rng`` verbatim (first uniform over ``n``, second
@@ -126,23 +118,14 @@ def balanced_completion_times(
     unit_free = [[0.0] * parallelism for _ in range(num_servers)]
     counts = [0] * num_servers
     in_system: "list[tuple[float, int]]" = []
-    count_heap: "list[tuple[int, int]]" = [(0, s) for s in range(num_servers)]
     completions = [0.0] * len(arrivals)
     assignment = [0] * len(arrivals)
     for index in range(len(arrivals)):
         arrival = arrivals[index]
         while in_system and in_system[0][0] < arrival:
-            server = heappop(in_system)[1]
-            count = counts[server] - 1
-            counts[server] = count
-            if jsq:
-                heappush(count_heap, (count, server))
+            counts[heappop(in_system)[1]] -= 1
         if jsq:
-            while True:
-                count, server = count_heap[0]
-                if counts[server] == count:
-                    break
-                heappop(count_heap)
+            server = counts.index(min(counts))
         elif num_servers == 1:
             server = 0
         else:
@@ -158,12 +141,85 @@ def balanced_completion_times(
         heapreplace(heap, completion)
         completions[index] = completion
         assignment[index] = server
-        count = counts[server] + 1
-        counts[server] = count
-        if jsq:
-            heappush(count_heap, (count, server))
+        counts[server] += 1
         heappush(in_system, (completion, server))
     return completions, assignment
+
+
+def serve(
+    arrivals: "list[float]",
+    services: "list[float]",
+    policy: str,
+    num_servers: int,
+    parallelism: int,
+    routing_rng: "random.Random",
+) -> "tuple[list[float], list[int]]":
+    """Serve one request stream on ``num_servers`` G/G/k stations (fast path).
+
+    The one place a balancing policy is mapped to a serving kernel.
+    ``round_robin`` and ``random`` never read queue state, so their routing
+    is replayed up front (``random`` draws ``routing_rng.randrange`` once per
+    request, in arrival order, as the event balancer does) and each server
+    runs :func:`fcfs_completion_times`; ``jsq`` and ``po2`` run
+    :func:`balanced_completion_times`.  The kernels are module globals looked
+    up at call time, so wrapping them (for tracing) wraps every caller.
+
+    Returns:
+        ``(completions, assignment)``, bitwise equal to :func:`serve_event`.
+    """
+    if policy == "round_robin":
+        assignment = [index % num_servers for index in range(len(arrivals))]
+    elif policy == "random":
+        randrange = routing_rng.randrange
+        assignment = [randrange(num_servers) for _ in arrivals]
+    else:
+        return balanced_completion_times(
+            arrivals, services, policy, num_servers, parallelism, routing_rng
+        )
+    completions = fcfs_completion_times(
+        arrivals, services, assignment, num_servers, parallelism
+    )
+    return completions, assignment
+
+
+def serve_event(
+    arrivals: "list[float]",
+    services: "list[float]",
+    policy: str,
+    num_servers: int,
+    parallelism: int,
+    routing_rng: "random.Random",
+    collector: "LatencyCollector",
+) -> "tuple[list[RequestServer], EventQueue]":
+    """Serve one request stream on the discrete-event engine (the oracle).
+
+    Builds :class:`RequestServer` stations on a fresh :class:`EventQueue`,
+    schedules every arrival up front, and lets the named balancer pick a
+    station from live backlogs at each arrival.  Each completion calls
+    ``collector.record(index, server, latency)``; latencies and server
+    choices are bitwise equal to :func:`serve`'s ``completions[i] -
+    arrivals[i]`` and ``assignment``.
+
+    Returns:
+        ``(stations, engine)`` after the run; ``engine.now`` is the last
+        completion time.
+    """
+    engine = EventQueue()
+    stations = [
+        RequestServer(i, parallelism, engine, collector) for i in range(num_servers)
+    ]
+    balancer = make_balancer(policy)
+    for index, (arrival, service) in enumerate(zip(arrivals, services)):
+        engine.schedule_at(
+            arrival,
+            # Bind the request now; the balancer selects at arrival time so
+            # state-aware policies see live backlogs.
+            lambda request=Request(index, arrival, service): stations[
+                balancer.select(stations, routing_rng)
+            ].offer(request),
+        )
+    engine.run()
+    return stations, engine
 
 
 @dataclass(frozen=True)
@@ -197,6 +253,13 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_servers < 1:
             raise ValueError("num_servers must be >= 1")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        if self.service_mean_s <= 0:
+            raise ValueError("service_mean_s must be positive")
+        if self.policy not in BALANCER_POLICIES:
+            known = sorted(BALANCER_POLICIES)
+            raise ValueError(f"unknown balancer policy {self.policy!r}; known: {known}")
         if self.offered_qps <= 0:
             raise ValueError("offered_qps must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -242,21 +305,17 @@ class ClusterResult:
 class ClusterSimulation:
     """Simulation of a load-balanced service cluster.
 
-    Two engines produce the same per-request latencies:
+    Two engines produce the same per-request latencies, both behind the
+    serving seam of this module:
 
-    * the **event engine** drives :class:`RequestServer` stations on a shared
-      :class:`EventQueue` and supports every policy (it is required for the
-      state-aware ``jsq`` and ``po2`` balancers);
-    * the **fast engine** replays routing without event objects or callbacks:
-      state-free policies (``random``/``round_robin``) fix the routing up
-      front and reduce each server to an isolated FCFS G/G/k recurrence
-      (:func:`fcfs_completion_times`); the queue-state-aware ``jsq``/``po2``
-      run the lazy-heap kernel (:func:`balanced_completion_times`) that
-      tracks in-system counts exactly as the event engine's backlogs evolve.
+    * the **fast engine** (:func:`serve`) replays routing without event
+      objects or callbacks and runs the FCFS or the balanced kernel;
+    * the **event engine** (:func:`serve_event`) drives :class:`RequestServer`
+      stations on a shared :class:`EventQueue` -- the reference the fast
+      engine is held to, bit for bit.
 
-    ``engine="auto"`` (default) picks the fast engine for every policy in
-    :data:`FAST_POLICIES` (currently all of them); ``engine="event"`` is the
-    reference escape hatch.
+    ``engine="auto"`` (default) runs the fast engine, which covers every
+    policy; ``engine="event"`` is the reference escape hatch.
 
     A non-empty ``faults`` schedule routes the run through the fault-injected
     event engine (:mod:`repro.faults.inject`); crashes and stragglers need
@@ -274,11 +333,6 @@ class ClusterSimulation:
     ):
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        if engine == "fast" and config.policy not in FAST_POLICIES:
-            raise ValueError(
-                f"policy {config.policy!r} has no fast-engine replay; "
-                "use engine='auto' or 'event'"
-            )
         if faults is not None and faults.is_empty():
             faults = None
         if faults is not None and engine == "fast":
@@ -292,11 +346,9 @@ class ClusterSimulation:
 
     def resolved_engine(self) -> str:
         """The engine ("fast" or "event") this simulation will run on."""
-        if self.faults is not None:
+        if self.faults is not None or self.engine == "event":
             return "event"
-        if self.engine == "auto":
-            return "fast" if self.config.policy in FAST_POLICIES else "event"
-        return self.engine
+        return "fast"
 
     def _generate_request_arrays(self, count: int) -> "tuple[np.ndarray, np.ndarray]":
         """(arrival times, service times) -- the shared deterministic streams.
@@ -320,7 +372,7 @@ class ClusterSimulation:
         return arrivals, services
 
     def _generate_requests(self, count: int) -> "list[Request]":
-        """The request list for the event engine (object view of the arrays)."""
+        """The fault-injected engine's request list (object view of the arrays)."""
         arrivals, services = self._generate_request_arrays(count)
         return [
             Request(index=index, arrival_s=arrival, service_s=service)
@@ -358,35 +410,24 @@ class ClusterSimulation:
 
     # ------------------------------------------------------------ event engine
     def _run_event(self, num_requests: int) -> ClusterResult:
-        config = self.config
-        engine = EventQueue()
-        warmup = int(num_requests * config.warmup_fraction)
-        collector = LatencyCollector(warmup_requests=warmup)
-        servers = [
-            RequestServer(i, config.parallelism, engine, collector)
-            for i in range(config.num_servers)
-        ]
-        balancer = make_balancer(config.policy)
-        routing_rng = random.Random(self.seed + 2)
-
-        for request in self._generate_requests(num_requests):
-            engine.schedule_at(
-                request.arrival_s,
-                # Bind loop variable; selection happens at arrival time so
-                # state-aware policies see live backlogs.
-                lambda request=request: servers[
-                    balancer.select(servers, routing_rng)
-                ].offer(request),
-            )
-        engine.run()
         from repro.obs.tracer import get_tracer
 
+        config = self.config
+        arrivals, services = self._generate_request_arrays(num_requests)
+        collector = LatencyCollector(
+            warmup_requests=int(num_requests * config.warmup_fraction)
+        )
+        stations, engine = serve_event(
+            arrivals.tolist(), services.tolist(), config.policy,
+            config.num_servers, config.parallelism, random.Random(self.seed + 2),
+            collector,
+        )
         tracer = get_tracer()
         if tracer.enabled:
             tracer.counter("service.events").add(engine.processed)
 
         duration = engine.now
-        utilizations = [server.utilization(duration) for server in servers]
+        utilizations = [station.utilization(duration) for station in stations]
         return ClusterResult(
             config=config,
             latency=collector.stats(),
@@ -398,40 +439,14 @@ class ClusterSimulation:
         )
 
     # ------------------------------------------------------------- fast engine
-    def _routing_sequence(self, count: int) -> "list[int]":
-        """Per-request server choices, identical to the event engine's stream.
-
-        The event engine draws routing decisions in arrival (index) order, so
-        replaying the same seeded stream up front yields the same assignment.
-        """
-        num_servers = self.config.num_servers
-        if self.config.policy == "round_robin":
-            return [index % num_servers for index in range(count)]
-        if self.config.policy == "random":
-            routing_rng = random.Random(self.seed + 2)
-            return [routing_rng.randrange(num_servers) for _ in range(count)]
-        raise ValueError(  # pragma: no cover - guarded by resolved_engine
-            f"no fast-engine routing replay for policy {self.config.policy!r}"
-        )
-
     def _run_fast(self, num_requests: int) -> ClusterResult:
         config = self.config
         arrivals, services = self._generate_request_arrays(num_requests)
         parallelism = config.parallelism
-
-        arrival_list = arrivals.tolist()
-        service_list = services.tolist()
-        if config.policy in STATE_FREE_POLICIES:
-            assignment = self._routing_sequence(num_requests)
-            completions = fcfs_completion_times(
-                arrival_list, service_list, assignment,
-                config.num_servers, parallelism,
-            )
-        else:
-            completions, assignment = balanced_completion_times(
-                arrival_list, service_list, config.policy,
-                config.num_servers, parallelism, random.Random(self.seed + 2),
-            )
+        completions, assignment = serve(
+            arrivals.tolist(), services.tolist(), config.policy,
+            config.num_servers, parallelism, random.Random(self.seed + 2),
+        )
 
         completion_arr = np.array(completions, dtype=np.float64)
         latencies = completion_arr - arrivals

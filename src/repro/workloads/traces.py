@@ -160,7 +160,7 @@ class SyntheticTraceGenerator:
         Only references that reach the LLC (L1 misses) are emitted, plus a small
         stream of actively-shared references; L1-resident traffic is summarized by
         the instruction gaps.  This is the reduced-fidelity substitution for
-        full-system tracing described in DESIGN.md.
+        full-system tracing (see ``repro.sim`` in ``docs/architecture.md``).
         """
         if core_id < 0 or core_id >= self.cores:
             raise ValueError(f"core_id {core_id} out of range for {self.cores} cores")

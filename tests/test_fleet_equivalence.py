@@ -8,6 +8,8 @@ processes, parallelism, and fleet shapes; any counterexample shrinks to a
 minimal reproducing configuration.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from repro.fleet import (
     RequestClass,
 )
 from repro.runtime.executor import SweepExecutor
-from repro.service.cluster import ClusterConfig, simulate_cluster
+from repro.service.cluster import ClusterConfig, serve, serve_event, simulate_cluster
 
 # ---------------------------------------------------------------- strategies
 
@@ -134,6 +136,56 @@ class TestClusterEngineEquivalence:
         )
         assert fast.per_server_counts == event.per_server_counts
         assert fast.duration_s == event.duration_s
+
+
+class _Recorder:
+    """Collector duck-type keeping each request's (server, latency)."""
+
+    def __init__(self, count: int):
+        self.servers = [None] * count
+        self.latencies = [None] * count
+
+    def record(self, request_index: int, server_id: int, latency_s: float) -> None:
+        self.servers[request_index] = server_id
+        self.latencies[request_index] = latency_s
+
+
+# Exact binary fractions, so ties are real ties: four simultaneous arrivals
+# on an idle cluster (JSQ backlog ties), arrivals landing exactly on earlier
+# completions (the kernel drains with a strict ``<``), and bursts that queue.
+_TIE_ARRIVALS = [
+    0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0,
+    2.0, 2.5, 3.0, 3.0, 3.0, 3.0, 3.5, 4.0, 4.0, 6.0,
+]
+_TIE_SERVICES = [
+    1.0, 1.0, 2.0, 0.5, 0.5, 1.0, 0.5, 1.0, 0.5, 1.0,
+    1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 2.0, 1.0,
+]
+
+
+class TestServeEdgeCases:
+    """The serving seam on a hand-built stream with exact timestamp ties."""
+
+    @pytest.mark.parametrize("policy", ["jsq", "po2", "random", "round_robin"])
+    @pytest.mark.parametrize("num_servers, parallelism", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_serve_matches_serve_event_on_ties(self, policy, num_servers, parallelism):
+        """Per-request latency and server choice are bit-identical between
+        :func:`serve` and its event oracle, ties and single server included."""
+        completions, assignment = serve(
+            _TIE_ARRIVALS, _TIE_SERVICES, policy, num_servers, parallelism,
+            random.Random(7),
+        )
+        recorder = _Recorder(len(_TIE_ARRIVALS))
+        serve_event(
+            _TIE_ARRIVALS, _TIE_SERVICES, policy, num_servers, parallelism,
+            random.Random(7), recorder,
+        )
+        assert set(_TIE_ARRIVALS) & set(completions)  # the stream hits the edge
+        assert assignment == recorder.servers
+        assert [
+            completion - arrival
+            for completion, arrival in zip(completions, _TIE_ARRIVALS)
+        ] == recorder.latencies
 
 
 # -------------------------------------------------------------------- fleet

@@ -200,13 +200,35 @@ class TestClusterSimulation:
         from repro.service.cluster import ClusterSimulation
 
         assert ClusterSimulation(small_cluster(0.5, policy="random")).resolved_engine() == "fast"
-        # Since the balanced lazy-heap kernel landed, jsq/po2 run fast too.
+        # The balanced kernel serves jsq/po2, so every policy runs fast.
         assert ClusterSimulation(small_cluster(0.5, policy="jsq")).resolved_engine() == "fast"
         assert ClusterSimulation(small_cluster(0.5, policy="po2")).resolved_engine() == "fast"
         assert (
             ClusterSimulation(small_cluster(0.5, policy="jsq"), engine="event").resolved_engine()
             == "event"
         )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"num_servers": 0}, "num_servers must be >= 1"),
+            ({"parallelism": 0}, "parallelism must be >= 1"),
+            ({"service_mean_s": 0.0}, "service_mean_s must be positive"),
+            ({"service_mean_s": -0.002}, "service_mean_s must be positive"),
+            ({"offered_qps": 0.0}, "offered_qps must be positive"),
+            ({"warmup_fraction": 1.0}, "warmup_fraction must be in"),
+            ({"policy": "least_loaded"}, "unknown balancer policy 'least_loaded'"),
+        ],
+    )
+    def test_config_validation(self, overrides, message):
+        """Bad configurations fail at construction with one message, before
+        either engine (or ``utilization``) can trip over them."""
+        params = dict(
+            num_servers=4, parallelism=4, service_mean_s=0.002, offered_qps=1000.0
+        )
+        params.update(overrides)
+        with pytest.raises(ValueError, match=message):
+            ClusterConfig(**params)
 
     def test_engine_name_validation(self):
         from repro.service.cluster import ClusterSimulation
