@@ -230,10 +230,10 @@ class FleetSimulation:
     ) -> np.ndarray:
         """Completion times of one chunk on the fast engine."""
         completions, _ = serve(
-            chunk.arrivals.tolist(), chunk.services.tolist(), datacenter.policy,
+            chunk.arrivals, chunk.services, datacenter.policy,
             servers, datacenter.parallelism, random.Random(rseed),
         )
-        return np.array(completions, dtype=np.float64)
+        return completions
 
     def _event_chunk(
         self, chunk: TrafficChunk, datacenter: Datacenter, servers: int, rseed: int
@@ -248,7 +248,7 @@ class FleetSimulation:
         """
         recorder = _ChunkRecorder(chunk.count)
         serve_event(
-            chunk.arrivals.tolist(), chunk.services.tolist(), datacenter.policy,
+            chunk.arrivals, chunk.services, datacenter.policy,
             servers, datacenter.parallelism, random.Random(rseed), recorder,
         )
         return np.array(recorder.latencies, dtype=np.float64)

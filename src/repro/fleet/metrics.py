@@ -3,10 +3,13 @@
 A simulated high-load day holds ~10^8 request latencies -- far too many to
 keep as samples.  :class:`LatencyHistogram` bins latencies on a logarithmic
 grid (64 bins per decade from 10 microseconds to 1000 seconds), which bounds
-the percentile error to under ~1.9% of the value per query while costing a
-fixed ~45 KB regardless of request count.  Histograms merge associatively,
-so per-chunk accumulation is order-independent and the fast and event engines
--- which feed identical latency arrays -- produce identical histograms.
+the percentile error to under ~1.9% of the value per query.  It stores only
+the occupied range of bins, in the narrowest unsigned integer type that holds
+their counts: a few hundred bytes for a typical datacenter-epoch, never more
+than 4 KB (512 bins x 8 bytes), whatever the request count.  Histograms
+merge associatively, so per-chunk accumulation is order-independent and the
+fast and event engines -- which feed identical latency arrays -- produce
+identical histograms.
 
 :class:`FleetResult` aggregates a day: per-(epoch, datacenter) rows with
 deployed servers and tail latency, per-class SLA attainment, autoscaling
@@ -37,31 +40,63 @@ def _edges() -> np.ndarray:
 
 _EDGES = _edges()
 
+#: The stored bins of an empty histogram (shared; stored bins are replaced,
+#: never written in place).
+_NO_BINS = np.zeros(0, dtype=np.uint8)
+
 
 class LatencyHistogram:
     """A mergeable log-binned latency distribution.
 
     Counts land in fixed log-spaced bins (plus underflow/overflow slots);
     the exact sum, maximum, and count ride along so the mean is exact and
-    only the percentiles are binned approximations.
+    only the percentiles are binned approximations.  Only the bins from the
+    first to the last occupied one are stored, in the narrowest unsigned
+    dtype holding their largest count; every add or merge sums in int64 and
+    re-narrows, so counts widen instead of wrapping.
     """
 
-    __slots__ = ("counts", "underflow", "overflow", "total", "sum_s", "max_s")
+    __slots__ = ("_first", "_bins", "underflow", "overflow", "total", "sum_s", "max_s")
 
     def __init__(self) -> None:
-        self.counts = np.zeros(_EDGES.size - 1, dtype=np.int64)
+        self._first = 0
+        self._bins = _NO_BINS
         self.underflow = 0
         self.overflow = 0
         self.total = 0
         self.sum_s = 0.0
         self.max_s = 0.0
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Per-bin counts over the whole grid (a fresh int64 array)."""
+        counts = np.zeros(_EDGES.size - 1, dtype=np.int64)
+        counts[self._first : self._first + self._bins.size] = self._bins
+        return counts
+
+    def _add_bins(self, first: int, bins: np.ndarray) -> None:
+        """Add ``bins`` (counts of bins ``first``, ``first + 1``, ...)."""
+        if bins.size == 0:
+            return
+        if self._bins.size == 0:
+            low, high = first, first + bins.size
+        else:
+            low = min(self._first, first)
+            high = max(self._first + self._bins.size, first + bins.size)
+        summed = np.zeros(high - low, dtype=np.int64)
+        summed[self._first - low : self._first - low + self._bins.size] = self._bins
+        summed[first - low : first - low + bins.size] += bins.astype(np.int64)
+        self._first = low
+        self._bins = summed.astype(np.min_scalar_type(int(summed.max())))
+
     def add_batch(self, latencies: np.ndarray) -> None:
         """Accumulate one latency array (seconds, non-negative)."""
         if latencies.size == 0:
             return
         counts, _ = np.histogram(latencies, bins=_EDGES)
-        self.counts += counts
+        occupied = np.flatnonzero(counts)
+        if occupied.size:
+            self._add_bins(int(occupied[0]), counts[occupied[0] : occupied[-1] + 1])
         self.underflow += int(np.count_nonzero(latencies < _EDGES[0]))
         self.overflow += int(np.count_nonzero(latencies >= _EDGES[-1]))
         self.total += int(latencies.size)
@@ -70,7 +105,7 @@ class LatencyHistogram:
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other`` into this histogram (associative, commutative)."""
-        self.counts += other.counts
+        self._add_bins(other._first, other._bins)
         self.underflow += other.underflow
         self.overflow += other.overflow
         self.total += other.total
@@ -104,12 +139,13 @@ class LatencyHistogram:
         if target <= self.underflow:
             return float(_EDGES[0])
         position = target - self.underflow
-        cumulative = np.cumsum(self.counts)
+        counts = self.counts
+        cumulative = np.cumsum(counts)
         index = int(np.searchsorted(cumulative, position))
-        if index >= self.counts.size:
+        if index >= counts.size:
             return self.max_s
         below = cumulative[index - 1] if index > 0 else 0
-        inside = self.counts[index]
+        inside = counts[index]
         weight = (position - below) / inside if inside > 0 else 0.0
         low, high = _EDGES[index], _EDGES[index + 1]
         return float(low + (high - low) * weight)
@@ -126,11 +162,12 @@ class LatencyHistogram:
         index = int(np.searchsorted(_EDGES, threshold_s, side="right")) - 1
         if index < 0:
             return 0.0
-        below = self.underflow + int(self.counts[:index].sum())
-        if index < self.counts.size:
+        counts = self.counts
+        below = self.underflow + int(counts[:index].sum())
+        if index < counts.size:
             low, high = _EDGES[index], _EDGES[index + 1]
             weight = (threshold_s - low) / (high - low)
-            below += weight * int(self.counts[index])
+            below += weight * int(counts[index])
         return min(1.0, below / self.total)
 
     def summary_ms(self) -> "dict[str, float]":

@@ -26,10 +26,11 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.service import native
 from repro.service.arrivals import make_arrivals
 from repro.service.balancer import BALANCER_POLICIES, make_balancer
 from repro.service.latency import LatencyCollector, LatencyStats
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids an import cycle)
 _ENGINES = ("auto", "fast", "event")
 
 
-def fcfs_completion_times(
+def fcfs_completion_times_python(
     arrivals: "list[float]",
     services: "list[float]",
     assignment: "list[int]",
@@ -53,8 +54,10 @@ def fcfs_completion_times(
 ) -> "list[float]":
     """Completion times for a fixed routing: independent FCFS G/G/k stations.
 
-    With the per-request server choice already known (state-free policies, or
-    a replayed balancer decision), each server reduces to the classic
+    The pure-Python kernel behind :func:`fcfs_completion_times`: its fallback
+    when the compiled kernel is unavailable, and its oracle.  With the
+    per-request server choice already known (state-free policies, or a
+    replayed balancer decision), each server reduces to the classic
     earliest-free-unit recurrence over a k-slot heap of unit-free times:
     ``start = max(arrival, earliest free)``, ``completion = start + service``.
     The float expressions mirror the event engine exactly, so the returned
@@ -74,7 +77,7 @@ def fcfs_completion_times(
     return completions
 
 
-def balanced_completion_times(
+def balanced_completion_times_python(
     arrivals: "list[float]",
     services: "list[float]",
     policy: str,
@@ -84,6 +87,8 @@ def balanced_completion_times(
 ) -> "tuple[list[float], list[int]]":
     """Completion times and routing for the queue-state-aware policies.
 
+    The pure-Python kernel behind :func:`balanced_completion_times`: its
+    fallback when the compiled kernel is unavailable, and its oracle.
     ``jsq`` and ``po2`` route on live backlogs, so the FCFS recurrence alone
     is not enough: the kernel additionally tracks each server's in-system
     count (queued plus in service) at every arrival instant.
@@ -146,14 +151,120 @@ def balanced_completion_times(
     return completions, assignment
 
 
-def serve(
-    arrivals: "list[float]",
-    services: "list[float]",
+def fcfs_completion_times(
+    arrivals: "Sequence[float] | np.ndarray",
+    services: "Sequence[float] | np.ndarray",
+    assignment: "Sequence[int] | np.ndarray",
+    num_servers: int,
+    parallelism: int,
+) -> np.ndarray:
+    """Completion times for a fixed routing, as a float64 array.
+
+    Runs the compiled kernel (:mod:`repro.service.native`) when it is
+    available, else :func:`fcfs_completion_times_python`; the two are bitwise
+    equal.
+    """
+    library = native.load()
+    if library is None:
+        return np.array(
+            fcfs_completion_times_python(
+                _floats(arrivals).tolist(), _floats(services).tolist(),
+                _ints(assignment).tolist(), num_servers, parallelism,
+            ),
+            dtype=np.float64,
+        )
+    arrivals, services = _stream(arrivals, services, num_servers, parallelism)
+    assignment = _ints(assignment)
+    if assignment.size != arrivals.size:
+        raise ValueError("assignment must name one server per request")
+    if assignment.size and not 0 <= assignment.min() <= assignment.max() < num_servers:
+        raise ValueError(f"assignment must lie in [0, {num_servers})")
+    completions = np.empty(arrivals.size, dtype=np.float64)
+    library.fcfs_completion_times(
+        arrivals.size, arrivals, services, assignment, parallelism,
+        np.zeros(num_servers * parallelism, dtype=np.float64), completions,
+    )
+    return completions
+
+
+def balanced_completion_times(
+    arrivals: "Sequence[float] | np.ndarray",
+    services: "Sequence[float] | np.ndarray",
     policy: str,
     num_servers: int,
     parallelism: int,
     routing_rng: "random.Random",
-) -> "tuple[list[float], list[int]]":
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Completion times and routing for ``jsq``/``po2``, as arrays.
+
+    Runs the compiled kernel (:mod:`repro.service.native`) when it is
+    available, else :func:`balanced_completion_times_python`; the two are
+    bitwise equal.  ``po2``'s two choices never depend on queue state, so
+    they are drawn from ``routing_rng`` up front in the same order
+    (``randrange(n)`` then ``randrange(n - 1)`` per request), leaving the
+    stream where the Python kernel leaves it.
+
+    Returns:
+        ``(completions, assignment)``: float64 and int64 arrays.
+    """
+    if policy not in ("jsq", "po2"):
+        raise ValueError(f"no balanced-kernel replay for policy {policy!r}")
+    library = native.load()
+    if library is None:
+        completions, assignment = balanced_completion_times_python(
+            _floats(arrivals).tolist(), _floats(services).tolist(), policy,
+            num_servers, parallelism, routing_rng,
+        )
+        return np.array(completions, dtype=np.float64), np.array(assignment, dtype=np.int64)
+    arrivals, services = _stream(arrivals, services, num_servers, parallelism)
+    count = arrivals.size
+    draws = None
+    if policy == "po2" and num_servers > 1:
+        randrange = routing_rng.randrange
+        bounds = (num_servers, num_servers - 1)
+        draws = np.fromiter(
+            (randrange(bound) for _ in range(count) for bound in bounds),
+            dtype=np.int64, count=2 * count,
+        )
+    completions = np.empty(count, dtype=np.float64)
+    assignment = np.empty(count, dtype=np.int64)
+    library.balanced_completion_times(
+        count, arrivals, services, num_servers, parallelism,
+        None if draws is None else draws.ctypes.data,
+        np.zeros(num_servers * parallelism, dtype=np.float64),
+        np.zeros(num_servers, dtype=np.int64),
+        np.empty(count, dtype=np.float64), np.empty(count, dtype=np.int64),
+        completions, assignment,
+    )
+    return completions, assignment
+
+
+def _floats(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64)
+
+
+def _stream(arrivals, services, num_servers: int, parallelism: int):
+    """``(arrivals, services)`` as float64 arrays the C kernels can index."""
+    arrivals, services = _floats(arrivals), _floats(services)
+    if arrivals.shape != services.shape or arrivals.ndim != 1:
+        raise ValueError("arrivals and services must be equal-length 1-D sequences")
+    if num_servers < 1 or parallelism < 1:
+        raise ValueError("num_servers and parallelism must be >= 1")
+    return arrivals, services
+
+
+def _ints(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
+def serve(
+    arrivals: "Sequence[float] | np.ndarray",
+    services: "Sequence[float] | np.ndarray",
+    policy: str,
+    num_servers: int,
+    parallelism: int,
+    routing_rng: "random.Random",
+) -> "tuple[np.ndarray, np.ndarray]":
     """Serve one request stream on ``num_servers`` G/G/k stations (fast path).
 
     The one place a balancing policy is mapped to a serving kernel.
@@ -162,16 +273,28 @@ def serve(
     request, in arrival order, as the event balancer does) and each server
     runs :func:`fcfs_completion_times`; ``jsq`` and ``po2`` run
     :func:`balanced_completion_times`.  The kernels are module globals looked
-    up at call time, so wrapping them (for tracing) wraps every caller.
+    up at call time, so wrapping them (for tracing) wraps every caller.  Each
+    call counts ``service.kernel.c`` or ``service.kernel.python``, by which
+    kernel ran.
 
     Returns:
-        ``(completions, assignment)``, bitwise equal to :func:`serve_event`.
+        ``(completions, assignment)`` as float64 and int64 arrays, bitwise
+        equal to :func:`serve_event`.
     """
+    from repro.obs.tracer import get_tracer
+
+    tracer = get_tracer()
+    if tracer.enabled:
+        kernel = "python" if native.load() is None else "c"
+        tracer.counter(f"service.kernel.{kernel}").add()
+    count = len(arrivals)
     if policy == "round_robin":
-        assignment = [index % num_servers for index in range(len(arrivals))]
+        assignment = np.arange(count, dtype=np.int64) % num_servers
     elif policy == "random":
         randrange = routing_rng.randrange
-        assignment = [randrange(num_servers) for _ in arrivals]
+        assignment = np.fromiter(
+            (randrange(num_servers) for _ in range(count)), dtype=np.int64, count=count
+        )
     else:
         return balanced_completion_times(
             arrivals, services, policy, num_servers, parallelism, routing_rng
@@ -183,8 +306,8 @@ def serve(
 
 
 def serve_event(
-    arrivals: "list[float]",
-    services: "list[float]",
+    arrivals: "Sequence[float] | np.ndarray",
+    services: "Sequence[float] | np.ndarray",
     policy: str,
     num_servers: int,
     parallelism: int,
@@ -209,6 +332,7 @@ def serve_event(
         RequestServer(i, parallelism, engine, collector) for i in range(num_servers)
     ]
     balancer = make_balancer(policy)
+    arrivals, services = _floats(arrivals).tolist(), _floats(services).tolist()
     for index, (arrival, service) in enumerate(zip(arrivals, services)):
         engine.schedule_at(
             arrival,
@@ -418,7 +542,7 @@ class ClusterSimulation:
             warmup_requests=int(num_requests * config.warmup_fraction)
         )
         stations, engine = serve_event(
-            arrivals.tolist(), services.tolist(), config.policy,
+            arrivals, services, config.policy,
             config.num_servers, config.parallelism, random.Random(self.seed + 2),
             collector,
         )
@@ -443,15 +567,12 @@ class ClusterSimulation:
         config = self.config
         arrivals, services = self._generate_request_arrays(num_requests)
         parallelism = config.parallelism
-        completions, assignment = serve(
-            arrivals.tolist(), services.tolist(), config.policy,
+        completion_arr, assignment_arr = serve(
+            arrivals, services, config.policy,
             config.num_servers, parallelism, random.Random(self.seed + 2),
         )
-
-        completion_arr = np.array(completions, dtype=np.float64)
         latencies = completion_arr - arrivals
         warmup = int(num_requests * config.warmup_fraction)
-        assignment_arr = np.array(assignment, dtype=np.int64)
 
         measured_latencies = latencies[warmup:]
         # Sample order differs from the event engine's completion order, but

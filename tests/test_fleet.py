@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (
     DIURNAL_24,
@@ -32,6 +33,7 @@ from repro.fleet import (
     route_demand,
     routing_seed,
 )
+from repro.fleet.metrics import _EDGES
 from repro.fleet.traffic import (
     chunk_rng,
     generate_chunk,
@@ -353,6 +355,110 @@ class TestLatencyHistogram:
         histogram.add_batch(np.array([0.001] * 90 + [1.0] * 10))
         assert histogram.fraction_below(0.1) == pytest.approx(0.9, abs=0.01)
         assert histogram.fraction_below(2.0) == 1.0
+
+
+class _DenseHistogram:
+    """Reference: the full 512-bin int64 histogram the compact one replaces."""
+
+    def __init__(self):
+        self.counts = np.zeros(_EDGES.size - 1, dtype=np.int64)
+        self.underflow = self.overflow = self.total = 0
+        self.max_s = 0.0
+
+    def add_batch(self, latencies):
+        if latencies.size:
+            self.counts += np.histogram(latencies, bins=_EDGES)[0]
+            self.underflow += int(np.count_nonzero(latencies < _EDGES[0]))
+            self.overflow += int(np.count_nonzero(latencies >= _EDGES[-1]))
+            self.total += int(latencies.size)
+            self.max_s = max(self.max_s, float(latencies.max()))
+
+    def merge(self, other):
+        self.counts += other.counts
+        self.underflow += other.underflow
+        self.overflow += other.overflow
+        self.total += other.total
+        self.max_s = max(self.max_s, other.max_s)
+
+    # The compact histogram's queries read only these fields, so the same
+    # code evaluated over the dense fields is the reference answer.
+    percentile = LatencyHistogram.percentile
+    fraction_below = LatencyHistogram.fraction_below
+
+
+#: Latency batches whose bins fall in one of a few decades, so pairs of
+#: batches land on disjoint, touching and overlapping bin ranges; the
+#: extremes reach the underflow and overflow slots.
+_batches = st.tuples(
+    st.sampled_from([1e-6, 1e-5, 3e-4, 2e-3, 0.05, 2.0, 900.0]),
+    st.lists(st.floats(min_value=1.0, max_value=40.0), max_size=40),
+).map(lambda case: np.array([case[0] * factor for factor in case[1]]))
+
+_FRACTIONS = (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0)
+_THRESHOLDS = (1e-6, 1e-5, 4e-4, 0.003, 0.07, 0.5, 3.0, 60.0, 5e3)
+
+
+def _same(value, reference):
+    return (math.isnan(value) and math.isnan(reference)) or value == reference
+
+
+def _assert_matches_dense(compact, dense):
+    assert compact.counts.dtype == np.int64
+    assert np.array_equal(compact.counts, dense.counts)
+    assert (compact.underflow, compact.overflow, compact.total) == (
+        dense.underflow, dense.overflow, dense.total,
+    )
+    for fraction in _FRACTIONS:
+        assert _same(compact.percentile(fraction), dense.percentile(fraction))
+    for threshold in _THRESHOLDS:
+        assert _same(compact.fraction_below(threshold), dense.fraction_below(threshold))
+
+
+class TestCompactHistogram:
+    """The compact bin store answers exactly as a dense 512-bin histogram."""
+
+    @given(first=st.lists(_batches, max_size=3), second=st.lists(_batches, max_size=3))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_matches_dense_reference_and_merges_in_both_orders(self, first, second):
+        """Counts, percentiles and SLA fractions equal the dense reference's,
+        for each side and for the merge taken in either order -- empty
+        histograms, disjoint and overlapping bin ranges included."""
+        compact = [LatencyHistogram(), LatencyHistogram()]
+        dense = [_DenseHistogram(), _DenseHistogram()]
+        for side, batches in enumerate((first, second)):
+            for batch in batches:
+                compact[side].add_batch(batch)
+                dense[side].add_batch(batch)
+            _assert_matches_dense(compact[side], dense[side])
+        for left, right in ((0, 1), (1, 0)):
+            merged, reference = LatencyHistogram(), _DenseHistogram()
+            for index in (left, right):
+                merged.merge(compact[index])
+                reference.merge(dense[index])
+            _assert_matches_dense(merged, reference)
+
+    def test_stores_only_the_occupied_range_narrowly(self):
+        histogram = LatencyHistogram()
+        histogram.add_batch(np.array([0.0101, 0.0102, 0.0109, 0.0131]))
+        assert histogram._bins.dtype == np.uint8
+        assert 1 < histogram._bins.size < 10
+        assert histogram.counts.sum() == 4
+
+    def test_counts_above_two_to_the_32_widen_instead_of_wrapping(self):
+        """Doubling a one-request histogram by self-merges carries a bin past
+        2**32; the store widens to 64 bits and the count stays exact."""
+        histogram, dense = LatencyHistogram(), _DenseHistogram()
+        histogram.add_batch(np.array([0.004]))
+        dense.add_batch(np.array([0.004]))
+        dtypes = set()
+        for _ in range(33):
+            histogram.merge(histogram)
+            dense.merge(dense)
+            dtypes.add(histogram._bins.dtype)
+        assert histogram.counts.max() == 2**33 == histogram.total
+        assert histogram._bins.dtype == np.uint64
+        assert {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)} <= dtypes
+        _assert_matches_dense(histogram, dense)
 
 
 # -------------------------------------------------------------- autoscaling

@@ -6,9 +6,19 @@ produce **bit-identical** results -- not approximately equal ones.  Randomized
 (but seeded, via hypothesis) configurations sweep cluster policies, arrival
 processes, parallelism, and fleet shapes; any counterexample shrinks to a
 minimal reproducing configuration.
+
+Every equivalence class runs twice: as written, on the default kernels (the
+compiled ones wherever a compiler is available), and as a ``...PythonKernel``
+subclass with the compiled library monkeypatched away, on the pure-Python
+kernels.
 """
 
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +32,30 @@ from repro.fleet import (
     Region,
     RequestClass,
 )
+from repro.obs.tracer import Tracer, use_tracer
 from repro.runtime.executor import SweepExecutor
-from repro.service.cluster import ClusterConfig, serve, serve_event, simulate_cluster
+from repro.service import native
+from repro.service.cluster import (
+    ClusterConfig,
+    balanced_completion_times,
+    balanced_completion_times_python,
+    fcfs_completion_times,
+    fcfs_completion_times_python,
+    serve,
+    serve_event,
+    simulate_cluster,
+)
+
+HAS_COMPILER = shutil.which(native.COMPILER) is not None
+needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler")
+
+
+@pytest.fixture(scope="class")
+def python_kernel():
+    """Run a test class on the pure-Python kernels (no compiled library)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_library", None)
+        yield
 
 # ---------------------------------------------------------------- strategies
 
@@ -180,12 +212,59 @@ class TestServeEdgeCases:
             _TIE_ARRIVALS, _TIE_SERVICES, policy, num_servers, parallelism,
             random.Random(7), recorder,
         )
-        assert set(_TIE_ARRIVALS) & set(completions)  # the stream hits the edge
-        assert assignment == recorder.servers
-        assert [
-            completion - arrival
-            for completion, arrival in zip(completions, _TIE_ARRIVALS)
-        ] == recorder.latencies
+        assert set(_TIE_ARRIVALS) & set(completions.tolist())  # the stream hits the edge
+        assert assignment.tolist() == recorder.servers
+        assert (completions - np.array(_TIE_ARRIVALS)).tolist() == recorder.latencies
+
+    @pytest.mark.parametrize("policy", ["jsq", "po2", "random", "round_robin"])
+    @pytest.mark.parametrize(
+        "num_servers, parallelism, count",
+        [(200, 1, 3000), (200, 8, 3000), (4, 8, 2000), (3, 1, 1), (1, 8, 1)],
+    )
+    def test_serve_matches_serve_event_on_generated_streams(
+        self, policy, num_servers, parallelism, count
+    ):
+        """JSQ over 200 servers, eight units per server, and a one-request
+        stream: latency, server choice and the routing stream left behind are
+        bit-identical to the event oracle."""
+        rng = np.random.default_rng(count + num_servers)
+        capacity = num_servers * parallelism / 0.01
+        arrivals = np.cumsum(rng.exponential(1.0 / (0.9 * capacity), count))
+        services = rng.exponential(0.01, count)
+        fast_rng, event_rng = random.Random(11), random.Random(11)
+        completions, assignment = serve(
+            arrivals, services, policy, num_servers, parallelism, fast_rng
+        )
+        recorder = _Recorder(count)
+        serve_event(
+            arrivals, services, policy, num_servers, parallelism, event_rng, recorder
+        )
+        assert completions.dtype == np.float64 and assignment.dtype == np.int64
+        assert assignment.tolist() == recorder.servers
+        assert (completions - arrivals).tolist() == recorder.latencies
+        assert fast_rng.getstate() == event_rng.getstate()
+        if num_servers == 200 and policy == "jsq":
+            assert len(set(recorder.servers)) == 200
+
+
+@pytest.mark.usefixtures("python_kernel")
+class TestClusterEngineEquivalencePythonKernel(TestClusterEngineEquivalence):
+    """:class:`TestClusterEngineEquivalence` on the pure-Python kernels.
+
+    Hypothesis tests are declared again, not inherited: one ``@given`` test
+    run from two classes fails hypothesis's differing-executors check.
+    """
+
+    @given(params=cluster_configs)
+    @settings(max_examples=25, deadline=None)
+    def test_fast_matches_event_bitwise(self, params):
+        _base = TestClusterEngineEquivalence.test_fast_matches_event_bitwise
+        _base.hypothesis.inner_test(self, params)
+
+
+@pytest.mark.usefixtures("python_kernel")
+class TestServeEdgeCasesPythonKernel(TestServeEdgeCases):
+    """:class:`TestServeEdgeCases` on the pure-Python kernels."""
 
 
 # -------------------------------------------------------------------- fleet
@@ -250,6 +329,214 @@ class TestFleetEngineEquivalence:
         first = FleetSimulation(config, seed=9, collect_samples=True).run()
         second = FleetSimulation(config, seed=9, collect_samples=True).run()
         _assert_fleet_identical(first, second)
+
+
+@pytest.mark.usefixtures("python_kernel")
+class TestFleetEngineEquivalencePythonKernel(TestFleetEngineEquivalence):
+    """:class:`TestFleetEngineEquivalence` on the pure-Python kernels
+    (hypothesis tests declared again, as in the cluster variant)."""
+
+    @given(params=fleet_shapes)
+    @settings(max_examples=15, deadline=None)
+    def test_fast_matches_event_bitwise(self, params):
+        _base = TestFleetEngineEquivalence.test_fast_matches_event_bitwise
+        _base.hypothesis.inner_test(self, params)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**20),
+        epochs=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_empty_shape_is_stationary_baseline(self, seed, epochs):
+        _base = TestFleetEngineEquivalence.test_empty_shape_is_stationary_baseline
+        _base.hypothesis.inner_test(self, seed, epochs)
+
+
+# ---------------------------------------------------------- compiled kernel
+
+
+def _stream(seed: int, count: int, num_servers: int, parallelism: int):
+    rng = np.random.default_rng(seed)
+    capacity = num_servers * parallelism / 0.01
+    arrivals = np.cumsum(rng.exponential(1.0 / (0.95 * capacity), count))
+    # Whole milliseconds: many completions land exactly on later arrivals.
+    arrivals = np.round(arrivals, 3)
+    return arrivals, rng.exponential(0.01, count)
+
+
+@pytest.fixture
+def private_cache(tmp_path, monkeypatch):
+    """Build into an empty private cache directory, from a fresh process state."""
+    directory = tmp_path / "cache"
+    directory.mkdir(mode=0o700)
+    monkeypatch.setattr(native, "cache_directory", lambda: directory)
+    monkeypatch.setattr(native, "_library", native._UNLOADED)
+    return directory
+
+
+class TestCompiledKernel:
+    """The C kernels against their pure-Python oracles, and the build rules."""
+
+    @needs_compiler
+    @pytest.mark.parametrize("policy", ["jsq", "po2"])
+    @pytest.mark.parametrize(
+        "num_servers, parallelism", [(1, 1), (2, 1), (3, 2), (27, 4), (200, 1), (5, 8)]
+    )
+    def test_balanced_kernel_matches_python_oracle(self, policy, num_servers, parallelism):
+        assert native.load() is not None
+        arrivals, services = _stream(num_servers * 10 + parallelism, 5000, num_servers, parallelism)
+        c_rng, python_rng = random.Random(3), random.Random(3)
+        completions, assignment = balanced_completion_times(
+            arrivals, services, policy, num_servers, parallelism, c_rng
+        )
+        expected, expected_assignment = balanced_completion_times_python(
+            arrivals.tolist(), services.tolist(), policy, num_servers, parallelism,
+            python_rng,
+        )
+        assert completions.tobytes() == np.array(expected).tobytes()
+        assert assignment.tolist() == expected_assignment
+        assert c_rng.getstate() == python_rng.getstate()
+
+    @needs_compiler
+    @pytest.mark.parametrize("num_servers, parallelism", [(1, 1), (3, 2), (17, 8)])
+    def test_fcfs_kernel_matches_python_oracle(self, num_servers, parallelism):
+        assert native.load() is not None
+        arrivals, services = _stream(num_servers, 5000, num_servers, parallelism)
+        assignment = np.random.default_rng(1).integers(0, num_servers, arrivals.size)
+        completions = fcfs_completion_times(
+            arrivals, services, assignment, num_servers, parallelism
+        )
+        expected = fcfs_completion_times_python(
+            arrivals.tolist(), services.tolist(), assignment.tolist(), num_servers,
+            parallelism,
+        )
+        assert completions.tobytes() == np.array(expected).tobytes()
+
+    @needs_compiler
+    def test_compiled_kernels_reject_what_they_cannot_index(self):
+        """Pointers reach C only for equal-length streams, positive sizes and
+        in-range server ids; anything else raises before the call."""
+        assert native.load() is not None
+        arrivals, services = [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]
+        cases = [
+            lambda: fcfs_completion_times(arrivals, services, [0, 2, 1], 2, 1),
+            lambda: fcfs_completion_times(arrivals, services, [0, -1, 1], 2, 1),
+            lambda: fcfs_completion_times(arrivals, services, [0, 1], 2, 1),
+            lambda: fcfs_completion_times(arrivals, services[:2], [0, 1, 0], 2, 1),
+            lambda: balanced_completion_times(arrivals, services[:2], "jsq", 2, 1, None),
+            lambda: balanced_completion_times(arrivals, services, "jsq", 2, 0, None),
+            lambda: balanced_completion_times(arrivals, services, "jsq", 0, 1, None),
+        ]
+        for case in cases:
+            with pytest.raises(ValueError):
+                case()
+
+    @pytest.mark.parametrize("policy", ["jsq", "po2", "random", "round_robin"])
+    def test_serve_counts_the_kernel_it_ran(self, policy):
+        arrivals, services = _stream(5, 300, 3, 2)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            for _ in range(3):
+                serve(arrivals, services, policy, 3, 2, random.Random(1))
+        ran, idle = ("python", "c") if native.load() is None else ("c", "python")
+        counters = tracer.counters()
+        assert counters[f"service.kernel.{ran}"] == 3
+        assert f"service.kernel.{idle}" not in counters
+
+    @pytest.mark.parametrize("failure", ["missing compiler", "compile error"])
+    def test_failed_build_falls_back_bit_identically_and_is_counted(
+        self, failure, private_cache, monkeypatch
+    ):
+        if failure == "compile error" and not HAS_COMPILER:
+            pytest.skip("no C compiler")
+        arrivals, services = _stream(9, 2000, 4, 2)
+        expected = {
+            policy: serve(arrivals, services, policy, 4, 2, random.Random(2))
+            for policy in ("jsq", "po2", "random")
+        }
+        monkeypatch.setattr(native, "_library", native._UNLOADED)
+        if failure == "missing compiler":
+            monkeypatch.setattr(native, "COMPILER", "/nonexistent/bin/gcc")
+        else:
+            monkeypatch.setattr(native, "FLAGS", (*native.FLAGS, "-fno-such-flag"))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            for policy, (completions, assignment) in expected.items():
+                fallback, fallback_assignment = serve(
+                    arrivals, services, policy, 4, 2, random.Random(2)
+                )
+                assert fallback.tobytes() == completions.tobytes()
+                assert np.array_equal(fallback_assignment, assignment)
+        counters = tracer.counters()
+        assert counters["service.kernel.build_failures"] == 1
+        assert counters["service.kernel.python"] == 3
+        assert "service.kernel.c" not in counters
+        assert not list(private_cache.glob(".kernels-*"))  # no half-written build left
+
+    @needs_compiler
+    def test_build_is_keyed_published_whole_and_reused(self, private_cache, monkeypatch):
+        assert native.load() is not None
+        (library,) = private_cache.iterdir()
+        assert library.name.startswith("kernels-") and library.suffix == ".so"
+        built = library.stat()
+        # A fresh process state finds the library and never runs the compiler.
+        run = subprocess.run
+        monkeypatch.setattr(native, "_library", native._UNLOADED)
+        monkeypatch.setattr(subprocess, "run", _no_compiler_runs)
+        assert native.load() is not None
+        assert library.stat().st_ino == built.st_ino
+        # Other flags are another key: a second library beside the first.
+        monkeypatch.setattr(subprocess, "run", run)
+        monkeypatch.setattr(native, "_library", native._UNLOADED)
+        monkeypatch.setattr(native, "FLAGS", (*native.FLAGS, "-g0"))
+        assert native.load() is not None
+        assert len(list(private_cache.iterdir())) == 2
+
+    @needs_compiler
+    def test_library_writable_by_others_is_rebuilt_not_loaded(self, private_cache):
+        assert native.load() is not None
+        (library,) = private_cache.iterdir()
+        library.chmod(0o666)
+        tampered = library.stat().st_ino
+        native._library = native._UNLOADED
+        assert native.load() is not None
+        (rebuilt,) = private_cache.iterdir()
+        assert rebuilt.stat().st_ino != tampered
+        assert not rebuilt.stat().st_mode & 0o022
+
+    def test_cache_directory_is_never_shared(self, tmp_path):
+        private = tmp_path / "private"
+        assert native.cache_directory(private) == private
+        assert private.stat().st_mode & 0o777 == 0o700
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        shared.chmod(0o777)
+        linked = tmp_path / "linked"
+        linked.symlink_to(private)
+        for unsafe in (shared, linked):
+            fallback = native.cache_directory(unsafe)
+            assert fallback not in (shared, linked, private)
+            assert fallback.stat().st_uid == os.geteuid()
+            assert not fallback.stat().st_mode & 0o077
+
+    def test_import_never_compiles(self, tmp_path):
+        """Importing the fleet and service layers builds nothing and loads
+        no library; the first kernel call does."""
+        code = (
+            "import repro.fleet, repro.service.cluster\n"
+            "from repro.service import native\n"
+            "assert native._library is native._UNLOADED\n"
+        )
+        env = {**os.environ, "HOME": str(tmp_path), "PYTHONPATH": str(SRC)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        assert not (tmp_path / ".cache").exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _no_compiler_runs(*args, **kwargs):
+    raise AssertionError(f"the compiler ran: {args}")
 
 
 # ------------------------------------------------------- executor invariance
