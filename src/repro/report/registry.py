@@ -66,6 +66,11 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         rhs_metric="rows[workload=Data Serving].8MB",
     ),
     _relation(
+        "ch2-llc-8mb-no-loss", "figure_2_2", "Figure 2.2",
+        "An 8 MB LLC keeps every workload within 2% of its 1 MB performance",
+        "rows.8MB:min", ">=", expected=0.98,
+    ),
+    _relation(
         "ch2-core-scaling-sublinear", "figure_2_3", "Figure 2.3",
         "At 64 cores the mesh-based chip falls short of ideal aggregate scaling",
         "rows[cores=64].mesh_aggregate", "<",
@@ -138,6 +143,11 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         rhs_metric="rows[topology=fbfly].geomean",
     ),
     _relation(
+        "ch4-area-normalized-beats-mesh", "figure_4_8", "Figure 4.8",
+        "Under an equal-area budget NOC-Out still outperforms the mesh",
+        "rows[topology=nocout].geomean", ">", expected=1.0,
+    ),
+    _relation(
         "ch4-snoops-rare", "figure_4_3", "Figure 4.3",
         "On average snoops are triggered by under 2% of LLC accesses",
         "rows[workload=MEAN].snoop_fraction_percent", "<=", expected=2.0,
@@ -154,10 +164,30 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "rows[design=Scale-Out (In-order)].normalized_tco", "<", expected=1.0,
     ),
     _relation(
+        "ch5-tco-band-min", "figure_5_2", "Figure 5.2",
+        "No design's datacenter TCO falls below half the conventional baseline",
+        "rows.normalized_tco:min", ">", expected=0.5,
+    ),
+    _relation(
+        "ch5-tco-band-max", "figure_5_2", "Figure 5.2",
+        "No design's datacenter TCO exceeds 1.5x the conventional baseline",
+        "rows.normalized_tco:max", "<", expected=1.5,
+    ),
+    _relation(
         "ch5-inorder-best-efficiency", "figure_5_3", "Figure 5.3",
         "At 32 GB, Scale-Out (In-order) has the best performance per TCO dollar",
         "rows[design=Scale-Out (In-order),memory_gb=32].performance_per_tco", ">=",
         rhs_metric="rows[memory_gb=32].performance_per_tco:max",
+    ),
+    _relation(
+        "ch5-perf-per-tco-positive", "figure_5_3", "Figure 5.3",
+        "Every design delivers positive performance per TCO dollar at every memory size",
+        "rows.performance_per_tco:min", ">", expected=0,
+    ),
+    _relation(
+        "ch5-perf-per-watt-positive", "figure_5_3", "Figure 5.4",
+        "Every design delivers positive performance per Watt at every memory size",
+        "rows.performance_per_watt:min", ">", expected=0,
     ),
     _relation(
         "ch5-price-robust", "figure_5_5", "Figure 5.5",
@@ -165,12 +195,22 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "rows[design=Scale-Out (In-order)].performance_per_tco:min", ">",
         rhs_metric="rows[design=Conventional].performance_per_tco:max",
     ),
+    _relation(
+        "ch5-prices-positive", "figure_5_5", "Figure 5.5",
+        "The price model yields a positive processor price at every volume",
+        "rows.price_usd:min", ">", expected=0,
+    ),
     # ----------------------------------------------------------- chapter 6
     _relation(
         "ch6-3d-gain-ooo", "table_6_2", "Table 6.2",
         "Four-die fixed-distance stacking raises OoO performance density over 2D",
         "rows[configuration=Fixed-Distance,core_type=ooo,dies=4].performance_density",
         ">", rhs_metric="rows[configuration=2D Pod,core_type=ooo].performance_density",
+    ),
+    _relation(
+        "ch6-pd-positive", "table_6_2", "Table 6.2",
+        "Every 2D and 3D configuration has a positive performance density",
+        "rows.performance_density:min", ">", expected=0,
     ),
     _relation(
         "ch6-fixed-distance-wins", "figure_6_5", "Figure 6.5",

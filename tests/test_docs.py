@@ -87,7 +87,7 @@ def test_running_doc_lists_every_cli_command():
         ), f"docs/running.md does not mention the `{command}` command"
 
 
-def test_report_md_matches_regeneration():
+def test_report_md_matches_regeneration(paper_report):
     """The committed reproduction report regenerates byte-for-byte.
 
     Renders the report twice against one shared cache: the first pass runs
@@ -95,12 +95,9 @@ def test_report_md_matches_regeneration():
     warm cache.  Both renderings must be identical to each other and to the
     committed ``docs/REPORT.md``, and no claim may grade ``fail``.
     """
-    from repro.report import Grade, ReportValidator, render_markdown
-    from repro.runtime.cache import ResultCache
+    from repro.report import Grade, render_markdown
 
-    validator = ReportValidator(cache=ResultCache())
-    cold_run = validator.validate()
-    warm_run = validator.validate()
+    _, cold_run, warm_run = paper_report
     assert {check.cache_status for check in warm_run.experiments} == {"hit"}
     cold, warm = render_markdown(cold_run), render_markdown(warm_run)
     assert cold == warm, "report rendering is not cache-stable"

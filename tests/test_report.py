@@ -368,6 +368,34 @@ class TestValidator:
             assert item["grade"] in ("pass", "warn", "fail")
 
 
+# ------------------------------------------------------------ every claim
+#: The operator whose relation is the logical negation of each claim operator.
+NEGATED_OP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
+
+
+@pytest.mark.parametrize("claim", PAPER_CLAIMS, ids=lambda claim: claim.claim_id)
+def test_claim_passes_and_its_negation_fails(claim, paper_report):
+    """Every registered claim grades ``pass`` on the full report run, and a
+    relation claim whose operator is negated grades ``fail`` on the same
+    (cached) experiment result, so no bound holds vacuously."""
+    import dataclasses
+
+    from repro.experiments.registry import CATALOG
+    from repro.runtime import SpecCatalog
+
+    cache, cold_run, _ = paper_report
+    graded = {item.claim.claim_id: item for item in cold_run.graded}[claim.claim_id]
+    assert graded.grade is Grade.PASS, graded.detail
+    if claim.kind != "relation":
+        return
+    negated = dataclasses.replace(claim, op=NEGATED_OP[claim.op])
+    catalog = SpecCatalog([CATALOG.get(claim.experiment_id)])
+    catalog.attach_claims([negated])
+    run = ReportValidator(catalog=catalog, cache=cache).validate()
+    assert {check.cache_status for check in run.experiments} == {"hit"}
+    assert [item.grade for item in run.graded] == [Grade.FAIL], run.graded[0].detail
+
+
 # ---------------------------------------------------------------- renderers
 class TestRenderers:
     def test_markdown_is_deterministic_and_complete(self):
