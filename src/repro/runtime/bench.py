@@ -2,10 +2,11 @@
 
 ``python -m repro bench --json`` times the registered benchmark targets twice
 -- once on the default fast path and once on the pre-PR reference path (the
-``use_fastpath=False`` / ``engine="event"`` escape hatches, or the pure-Python
-Pareto reference and exhaustive exploration for the DSE targets) -- and writes
-one JSON file per domain (``BENCH_noc.json``, ``BENCH_service.json``,
-``BENCH_dse.json``).  Committing those files gives every future change a
+``use_fastpath=False`` / ``engine="event"`` escape hatches, the pure-Python
+Pareto reference and exhaustive exploration for the DSE targets, or the
+per-line LLC warm-up for the sim target) -- and writes one JSON file per
+domain (``BENCH_noc.json``, ``BENCH_service.json``, ``BENCH_dse.json``,
+``BENCH_sim.json``).  Committing those files gives every future change a
 recorded baseline to regress against.
 
 Schema (``schema: 1``)::
@@ -300,6 +301,71 @@ def _bench_search(strategy: str) -> "Callable[[Mapping[str, object]], dict[str, 
     return runner
 
 
+def _bench_sim_warm(overrides: "Mapping[str, object]") -> "dict[str, object]":
+    """Time the bulk LLC warm-up against the per-line reference on figure_3_3's points.
+
+    For each of ``figure_3_3``'s 105 design points (seven workloads, five core
+    counts, three interconnects, its 4 MB LLC and seed 7) two fresh systems
+    are warmed from the same trace generator: one through
+    :meth:`~repro.sim.system.SimulatedSystem.warm_caches` (one bulk install per
+    bank), one through the one-``fill``-per-line oracle.  Only the warm-up calls
+    are timed.  The entry records the lines filled and whether every bank ended
+    in the same state (resident tags, per-set LRU order, dirty bits, stats).
+    The target takes no ``--set`` overrides.
+    """
+    from repro.perfmodel.analytic import SystemConfig
+    from repro.sim.system import SimulatedSystem, _reference_warm_caches
+    from repro.workloads import default_suite
+    from repro.workloads.traces import SyntheticTraceGenerator
+
+    llc_mb, seed = 4.0, 7
+
+    def state(system: SimulatedSystem) -> "list[object]":
+        """Per bank: resident tags in per-set LRU order with dirty bits, and stats."""
+        return [([list(s.items()) for s in bank._sets], bank.stats) for bank in system.banks]
+
+    fast_wall = reference_wall = 0.0
+    lines = points = 0
+    identical = True
+    for workload in default_suite():
+        for interconnect in ("ideal", "crossbar", "mesh"):
+            for cores in (1, 2, 4, 8, 16):
+                config = SystemConfig(
+                    cores=cores, core_type="ooo", llc_capacity_mb=llc_mb,
+                    interconnect=interconnect,
+                )
+                bulk = SimulatedSystem(workload, config, seed=seed)
+                reference = SimulatedSystem(workload, config, seed=seed)
+                generator = SyntheticTraceGenerator(
+                    workload, cores=cores, seed=seed, core_type=bulk.core.name
+                )
+                start = time.perf_counter()
+                bulk.warm_caches(generator)
+                fast_wall += time.perf_counter() - start
+                start = time.perf_counter()
+                _reference_warm_caches(reference, generator)
+                reference_wall += time.perf_counter() - start
+                lines += sum(bank.resident_lines for bank in bulk.banks)
+                identical = identical and state(bulk) == state(reference)
+                points += 1
+
+    return {
+        "unit": "lines",
+        "units": lines,
+        "parameters": {"llc_mb": llc_mb, "seed": seed, "points": points},
+        "fastpath": {
+            "wall_s": round(fast_wall, 6),
+            "units_per_s": round(lines / max(fast_wall, 1e-9), 1),
+        },
+        "reference": {
+            "wall_s": round(reference_wall, 6),
+            "units_per_s": round(lines / max(reference_wall, 1e-9), 1),
+        },
+        "speedup": round(reference_wall / max(fast_wall, 1e-9), 2),
+        "state_identical": identical,
+    }
+
+
 @dataclass(frozen=True)
 class BenchTarget:
     """One experiment tracked in the perf trajectory.
@@ -324,7 +390,8 @@ class BenchTarget:
     runner: "Callable[[Mapping[str, object]], dict[str, object]] | None" = None
 
 
-#: The recorded perf trajectory: NoC, service, and the three DSE benchmarks.
+#: The recorded perf trajectory: NoC, service, the three DSE benchmarks, and
+#: the cycle-level simulator's LLC warm-up.
 BENCH_TARGETS: "dict[str, BenchTarget]" = {
     "figure_4_6": BenchTarget(
         experiment_id="figure_4_6",
@@ -363,6 +430,12 @@ BENCH_TARGETS: "dict[str, BenchTarget]" = {
         domain="dse",
         unit="candidates",
         runner=_bench_search("halving"),
+    ),
+    "sim_warm": BenchTarget(
+        experiment_id="sim_warm",
+        domain="sim",
+        unit="lines",
+        runner=_bench_sim_warm,
     ),
 }
 

@@ -5,8 +5,10 @@ This package is the substitute (see ``repro.sim`` in ``docs/architecture.md``):
 a discrete-event, trace-driven multi-core simulator with
 
 * trace-driven cores with a bounded outstanding-miss window (emergent
-  memory-level parallelism),
-* set-associative L1 and banked NUCA LLC models with LRU replacement and MSHRs,
+  memory-level parallelism; the window plays the role of MSHRs),
+* a banked NUCA LLC of set-associative, LRU-replacement banks, warmed in bulk
+  before measurement (L1 filtering happens in the synthetic trace generator,
+  which emits only L1 misses),
 * a directory that tracks L1 sharers and generates invalidation / forwarding
   snoops,
 * bandwidth-limited DRAM channels with a fixed access latency, and

@@ -1,9 +1,12 @@
-"""Set-associative cache model with LRU replacement and MSHR accounting."""
+"""Set-associative cache model with LRU replacement and writeback counting."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass
@@ -31,20 +34,12 @@ class CacheStats:
         return self.hits / self.accesses
 
 
-@dataclass
-class CacheLine:
-    """State of one resident cache line."""
-
-    tag: int
-    dirty: bool = False
-
-
 class SetAssociativeCache:
     """A set-associative, LRU-replacement cache.
 
-    Used both for per-core L1 caches and for individual LLC banks.  The model
-    tracks residency and dirtiness only; data values are irrelevant to the
-    studies.
+    The simulator builds one per LLC bank (L1 filtering happens upstream, in
+    the synthetic trace generator).  The model tracks residency and dirtiness
+    only; data values are irrelevant to the studies.
 
     Args:
         capacity_bytes: total cache capacity in bytes.
@@ -72,8 +67,8 @@ class SetAssociativeCache:
         self.name = name
         lines = max(1, capacity_bytes // line_bytes)
         self.num_sets = max(1, lines // associativity)
-        # Each set is an OrderedDict tag -> CacheLine in LRU order (last = MRU).
-        self._sets: "list[OrderedDict[int, CacheLine]]" = [
+        # Each set is an OrderedDict tag -> dirty bit in LRU order (last = MRU).
+        self._sets: "list[OrderedDict[int, bool]]" = [
             OrderedDict() for _ in range(self.num_sets)
         ]
         self.stats = CacheStats()
@@ -102,13 +97,12 @@ class SetAssociativeCache:
         self.stats.accesses += 1
         index, tag = self._index_and_tag(address)
         cache_set = self._sets[index]
-        line = cache_set.get(tag)
-        if line is None:
+        if tag not in cache_set:
             self.stats.misses += 1
             return False
         cache_set.move_to_end(tag)
         if is_write:
-            line.dirty = True
+            cache_set[tag] = True
         self.stats.hits += 1
         return True
 
@@ -120,17 +114,70 @@ class SetAssociativeCache:
         if tag in cache_set:
             cache_set.move_to_end(tag)
             if dirty:
-                cache_set[tag].dirty = True
+                cache_set[tag] = True
             return None
         evicted_address: "int | None" = None
         if len(cache_set) >= self.associativity:
-            victim_tag, victim = cache_set.popitem(last=False)
+            victim_tag, victim_dirty = cache_set.popitem(last=False)
             self.stats.evictions += 1
-            if victim.dirty:
+            if victim_dirty:
                 self.stats.writebacks += 1
             evicted_address = (victim_tag * self.num_sets + index) * self.line_bytes
-        cache_set[tag] = CacheLine(tag=tag, dirty=dirty)
+        cache_set[tag] = dirty
         return evicted_address
+
+    def install(self, addresses: "Sequence[int] | np.ndarray") -> None:
+        """Fill many clean lines at once, exactly as ``for a in addresses: fill(a)``.
+
+        Every address must name a distinct line that is not yet resident; the
+        resulting residency, per-set LRU order, dirty bits and :attr:`stats`
+        then equal those of the one-at-a-time loop.  Lines are grouped by set
+        (keeping their order within each set), and each set keeps the last
+        ``associativity`` lines of its resident-then-installed sequence; the
+        dropped prefix counts as evictions (and writebacks, for dirty victims).
+
+        Raises:
+            ValueError: if two addresses share a line or a line is already
+                resident.
+        """
+        lines = np.asarray(addresses, dtype=np.int64) // self.line_bytes
+        if len(lines) == 0:
+            return
+        ordered = np.sort(lines)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("install() needs distinct lines; got a repeated line")
+        indices = lines % self.num_sets
+        order = np.argsort(indices, kind="stable")
+        indices = indices[order]
+        tags = (lines[order] // self.num_sets).tolist()
+        starts = np.flatnonzero(np.diff(indices, prepend=-1))
+        ends = np.append(starts[1:], len(tags))
+        set_ids = indices[starts]
+        sets = self._sets
+        occupied = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))[set_ids] > 0
+        merges = list(
+            zip(set_ids[occupied].tolist(), starts[occupied].tolist(), ends[occupied].tolist())
+        )
+        for index, lo, hi in merges:
+            if not sets[index].keys().isdisjoint(tags[lo:hi]):
+                raise ValueError(f"install() got a line already resident in set {index}")
+        # Sets with resident lines: evict their LRU lines first, as fill() would.
+        for index, lo, hi in merges:
+            cache_set = sets[index]
+            while cache_set and len(cache_set) + hi - lo > self.associativity:
+                _, victim_dirty = cache_set.popitem(last=False)
+                self.stats.evictions += 1
+                if victim_dirty:
+                    self.stats.writebacks += 1
+            keep = max(lo, hi - self.associativity + len(cache_set))
+            self.stats.evictions += keep - lo
+            cache_set.update(dict.fromkeys(tags[keep:hi], False))
+        # Empty sets: the last ``associativity`` lines survive, in order.
+        empty = ~occupied
+        keeps = np.maximum(starts[empty], ends[empty] - self.associativity)
+        self.stats.evictions += int((keeps - starts[empty]).sum())
+        for index, keep, hi in zip(set_ids[empty].tolist(), keeps.tolist(), ends[empty].tolist()):
+            sets[index] = OrderedDict.fromkeys(tags[keep:hi], False)
 
     def invalidate(self, address: int) -> bool:
         """Remove the line holding ``address``; returns True if it was resident."""

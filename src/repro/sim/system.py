@@ -9,8 +9,8 @@ rates, snoop fractions, and memory traffic.
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from repro.caches.nuca import NucaLLC
 from repro.cores.models import core_model
@@ -23,6 +23,9 @@ from repro.sim.memctrl import MemoryChannelSim
 from repro.sim.stats import SimulationStats
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.traces import SyntheticTraceGenerator
+
+#: Regions the warm-up installs, in criticality order.
+_WARM_REGIONS = ("instructions", "shared_small", "shared_hot", "capturable")
 
 
 class SimulatedSystem:
@@ -74,6 +77,7 @@ class SimulatedSystem:
 
         self.stats = SimulationStats()
         self._line_bytes = llc.line_bytes
+        self._ran = False
 
     # ----------------------------------------------------------------- routing
     def _bank_for(self, address: int) -> int:
@@ -140,28 +144,42 @@ class SimulatedSystem:
         window would see compulsory misses for the entire instruction footprint and
         secondary working set.  Regions are installed in criticality order
         (instructions, shared OS data, hot shared lines, secondary working set)
-        until the LLC is nearly full, so smaller LLCs naturally hold less of the
-        capturable content.
+        until 95% of the LLC's lines are used, so smaller LLCs naturally hold less
+        of the capturable content.  Each bank takes its share in one
+        :meth:`SetAssociativeCache.install`, which leaves exactly the state of
+        filling the lines one at a time (:func:`_reference_warm_caches`).
         """
         total_lines = sum(bank.num_sets * bank.associativity for bank in self.banks)
-        budget = int(total_lines * 0.95)
-        filled = 0
-        for region_name in ("instructions", "shared_small", "shared_hot", "capturable"):
+        chunks = []
+        for region_name in _WARM_REGIONS:
             region = generator.regions[region_name]
             lines_in_region = max(1, region.size_bytes // self._line_bytes)
-            for i in range(lines_in_region):
-                if filled >= budget:
-                    return
-                address = region.base + i * self._line_bytes
-                bank = self.banks[self._bank_for(address)]
-                bank.fill(self._bank_local_address(address))
-                filled += 1
+            chunks.append(region.base + np.arange(lines_in_region) * self._line_bytes)
+        addresses = np.concatenate(chunks)[: int(total_lines * 0.95)]
+        lines = addresses // self._line_bytes
+        bank_ids = lines % self.num_banks
+        local = (lines // self.num_banks) * self._line_bytes + addresses % self._line_bytes
+        by_bank = local[np.argsort(bank_ids, kind="stable")]
+        splits = np.cumsum(np.bincount(bank_ids, minlength=self.num_banks))[:-1]
+        for bank, bank_addresses in zip(self.banks, np.split(by_bank, splits)):
+            bank.install(bank_addresses)
 
     # -------------------------------------------------------------------- run
     def run(self, instructions_per_core: int = 20_000, warmup: bool = True) -> SimulationStats:
-        """Generate traces, run every core, and aggregate the statistics."""
+        """Generate traces, run every core, and aggregate the statistics.
+
+        A system runs once: its caches, directory and statistics carry the
+        state of that run.
+
+        Raises:
+            ValueError: if ``instructions_per_core`` is not positive.
+            RuntimeError: if the system has already run.
+        """
         if instructions_per_core <= 0:
             raise ValueError("instructions_per_core must be positive")
+        if self._ran:
+            raise RuntimeError("SimulatedSystem.run() is one-shot; build a new system to rerun")
+        self._ran = True
         generator = SyntheticTraceGenerator(
             self.workload,
             cores=self.config.cores,
@@ -208,3 +226,24 @@ def simulate_system(
     """Convenience wrapper: build a :class:`SimulatedSystem`, run it, return stats."""
     system = SimulatedSystem(workload, config, memory_channels=memory_channels, seed=seed)
     return system.run(instructions_per_core)
+
+
+def _reference_warm_caches(system: SimulatedSystem, generator: SyntheticTraceGenerator) -> None:
+    """Equivalence oracle for :meth:`SimulatedSystem.warm_caches`: one ``fill`` per line.
+
+    The per-line loop the bulk install replaced, kept only as the reference
+    the tests and the ``sim_warm`` bench target compare against.
+    """
+    total_lines = sum(bank.num_sets * bank.associativity for bank in system.banks)
+    budget = int(total_lines * 0.95)
+    filled = 0
+    for region_name in _WARM_REGIONS:
+        region = generator.regions[region_name]
+        lines_in_region = max(1, region.size_bytes // system._line_bytes)
+        for i in range(lines_in_region):
+            if filled >= budget:
+                return
+            address = region.base + i * system._line_bytes
+            bank = system.banks[system._bank_for(address)]
+            bank.fill(system._bank_local_address(address))
+            filled += 1

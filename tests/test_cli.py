@@ -204,6 +204,7 @@ class TestBench:
             "pareto_kernel",
             "dse_search_ga",
             "dse_search_halving",
+            "sim_warm",
         }
         for entry in by_id.values():
             assert entry["units"] > 0
@@ -215,8 +216,10 @@ class TestBench:
         for experiment in ("dse_search_ga", "dse_search_halving"):
             assert by_id[experiment]["fastpath"]["evaluations"] <= 24
             assert by_id[experiment]["evaluations_saved"] > 0
+        assert by_id["sim_warm"]["state_identical"] is True
+        assert by_id["sim_warm"]["parameters"] == {"llc_mb": 4.0, "seed": 7, "points": 105}
         for domain, experiment in (("noc", "figure_4_6"), ("service", "service_latency_sweep"),
-                                   ("dse", "pareto_kernel")):
+                                   ("dse", "pareto_kernel"), ("sim", "sim_warm")):
             payload = json.loads((tmp_path / f"BENCH_{domain}.json").read_text())
             assert payload["schema"] == 1
             assert payload["entries"][0]["experiment"] == experiment

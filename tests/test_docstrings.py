@@ -20,6 +20,7 @@ ENFORCED = [
     REPO / "src" / "repro" / "report",
     REPO / "src" / "repro" / "service" / "cluster.py",
     REPO / "src" / "repro" / "noc" / "fastpath.py",
+    REPO / "src" / "repro" / "sim",
 ]
 
 

@@ -10,10 +10,15 @@ from repro.sim.core import TraceDrivenCore
 from repro.sim.directory import Directory
 from repro.sim.engine import EventQueue
 from repro.sim.memctrl import MemoryChannelSim
-from repro.sim.system import SimulatedSystem, simulate_system
+from repro.sim.system import SimulatedSystem, _reference_warm_caches, simulate_system
 from repro.technology.node import NODE_40NM
 from repro.workloads import get_workload
-from repro.workloads.traces import TraceEvent
+from repro.workloads.traces import SyntheticTraceGenerator, TraceEvent
+
+
+def _cache_state(cache):
+    """Everything install() must reproduce: per-set LRU order, dirty bits, stats."""
+    return [list(cache_set.items()) for cache_set in cache._sets], cache.stats
 
 
 class TestSimulationStats:
@@ -159,6 +164,106 @@ class TestSetAssociativeCache:
                 cache.fill(address)
         for address in addresses:
             assert cache.access(address)
+
+
+class TestBulkInstall:
+    """``install(addresses)`` == ``for a in addresses: fill(a)`` for new, distinct lines."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=255), min_size=0, max_size=120, unique=True),
+        st.integers(min_value=0, max_value=24),
+        st.lists(st.booleans(), min_size=24, max_size=24),
+        st.integers(min_value=0, max_value=63),
+    )
+    def test_install_equals_fill_loop(self, lines, resident_count, dirty_bits, offset):
+        # 4 sets x 4 ways and up to 120 lines over 256 line numbers: most sets
+        # overflow, and the first ``resident_count`` lines are filled beforehand
+        # (some dirty) so installs also evict resident lines and count writebacks.
+        resident, installed = lines[:resident_count], lines[resident_count:]
+        bulk, loop = (SetAssociativeCache(capacity_bytes=16 * 64, associativity=4) for _ in "ab")
+        for cache in (bulk, loop):
+            for line, dirty in zip(resident, dirty_bits):
+                cache.fill(line * 64, dirty=dirty)
+        addresses = [line * 64 + offset for line in installed]
+        bulk.install(addresses)
+        for address in addresses:
+            loop.fill(address)
+        assert _cache_state(bulk) == _cache_state(loop)
+
+    def test_install_overflowing_empty_sets_matches_fill_loop(self):
+        # Ten lines per set into empty 2-set x 4-way caches: each set keeps its
+        # last four lines, and the six dropped per set count as evictions.
+        addresses = [line * 64 for line in range(20)]
+        bulk, loop = (SetAssociativeCache(capacity_bytes=8 * 64, associativity=4) for _ in "ab")
+        bulk.install(addresses)
+        for address in addresses:
+            loop.fill(address)
+        assert _cache_state(bulk) == _cache_state(loop)
+        assert bulk.stats.evictions == 12 and bulk.resident_lines == 8
+
+    def test_install_accepts_numpy_and_empty_input(self):
+        import numpy as np
+
+        cache = SetAssociativeCache(capacity_bytes=4096, associativity=2)
+        cache.install([])
+        cache.install(np.arange(3, dtype=np.int64) * 64)
+        assert cache.resident_lines == 3 and cache.stats.evictions == 0
+
+    @pytest.mark.parametrize("addresses", [[0, 64, 0], [128, 130]])
+    def test_install_rejects_repeated_lines(self, addresses):
+        cache = SetAssociativeCache(capacity_bytes=4096, associativity=2)
+        with pytest.raises(ValueError, match="distinct"):
+            cache.install(addresses)
+        assert cache.resident_lines == 0
+
+    def test_install_rejects_resident_lines(self):
+        cache = SetAssociativeCache(capacity_bytes=4096, associativity=2)
+        cache.fill(64)
+        with pytest.raises(ValueError, match="already resident"):
+            cache.install([0, 64 + 8])
+        assert cache.resident_lines == 1 and cache.stats.evictions == 0
+
+
+#: (cores, LLC MB, interconnect, seed): figure_3_3's 15 geometries, then figure_4_3's.
+_WARM_GEOMETRIES = [
+    (cores, 4.0, net, 7) for net in ("ideal", "crossbar", "mesh") for cores in (1, 2, 4, 8, 16)
+] + [(16, 8.0, "crossbar", 11)]
+
+
+@pytest.mark.parametrize("cores,llc_mb,interconnect,seed", _WARM_GEOMETRIES)
+def test_warm_caches_matches_per_line_reference(cores, llc_mb, interconnect, seed):
+    workload = get_workload("Web Search")
+    config = SystemConfig(
+        cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect=interconnect
+    )
+    bulk, reference = (SimulatedSystem(workload, config, seed=seed) for _ in "ab")
+    generator = SyntheticTraceGenerator(workload, cores=cores, seed=seed, core_type="ooo")
+    bulk.warm_caches(generator)
+    _reference_warm_caches(reference, generator)
+    assert sum(bank.resident_lines for bank in bulk.banks) > 0
+    for bulk_bank, reference_bank in zip(bulk.banks, reference.banks):
+        assert _cache_state(bulk_bank) == _cache_state(reference_bank)
+
+
+@pytest.mark.parametrize(
+    "workload,cores,llc_mb,interconnect,seed,expected",
+    [
+        ("Data Serving", 16, 4, "mesh", 7, (2532.841428571428, 32069, 1856, 154, 9)),
+        ("Media Streaming", 4, 4, "crossbar", 7, (2395.575714285714, 8089, 256, 33, 0)),
+        ("Web Search", 16, 8, "crossbar", 11, (1634.6897142857144, 31782, 1344, 55, 2)),
+    ],
+)
+def test_simulate_system_golden_stats(workload, cores, llc_mb, interconnect, seed, expected):
+    # Pinned before the bulk warm-up replaced the per-line loop: the warmed
+    # LLC, and so every measured statistic, must not move.
+    config = SystemConfig(
+        cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect=interconnect
+    )
+    stats = simulate_system(get_workload(workload), config, instructions_per_core=2000, seed=seed)
+    assert (
+        stats.cycles, stats.instructions, stats.llc_accesses, stats.llc_misses, stats.snoops
+    ) == expected
 
 
 class TestDirectory:
@@ -317,6 +422,17 @@ class TestSimulatedSystem:
         config = SystemConfig(cores=2, llc_capacity_mb=2)
         with pytest.raises(ValueError):
             SimulatedSystem(workload, config).run(0)
+
+    def test_run_is_one_shot(self):
+        workload = get_workload("Web Search")
+        config = SystemConfig(cores=2, llc_capacity_mb=2)
+        system = SimulatedSystem(workload, config)
+        first = system.run(1000)
+        instructions = first.instructions
+        with pytest.raises(RuntimeError, match="one-shot"):
+            system.run(1000)
+        assert system.stats.instructions == instructions
+        assert len(system.stats.per_core_cycles) == 2
 
     def test_channel_interleaving_decorrelated_from_banks(self):
         # Regression: channel selection used the same low line-address bits as
