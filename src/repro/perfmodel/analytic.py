@@ -18,14 +18,15 @@ the workload/core MLP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.caches.nuca import NucaLLC
 from repro.cores.models import CoreModel, core_model
 from repro.interconnect import InterconnectModel, interconnect_model
 from repro.interconnect.floorplan import Floorplan
 from repro.memory.dram import DramChannel, channel_for_standard
+from repro.obs.tracer import get_tracer
 from repro.perfmodel.amat import CpiBreakdown, LlcAccessLatency
 from repro.technology.components import ComponentCatalog
 from repro.technology.node import NODE_40NM, TechnologyNode
@@ -75,6 +76,8 @@ class SystemConfig:
             raise ValueError("effective_capacity_factor must be positive")
         if self.offchip_traffic_factor <= 0:
             raise ValueError("offchip_traffic_factor must be positive")
+        if self.llc_banks is not None and self.llc_banks < 1:
+            raise ValueError("llc_banks must be >= 1")
 
     @property
     def effective_llc_capacity_mb(self) -> float:
@@ -93,8 +96,6 @@ class SystemConfig:
     def resolved_banks(self) -> int:
         """Number of LLC banks (defaults to the paper's organization rules)."""
         if self.llc_banks is not None:
-            if self.llc_banks < 1:
-                raise ValueError("llc_banks must be >= 1")
             return self.llc_banks
         name = self.resolved_interconnect().name
         if name in ("mesh", "fbfly"):
@@ -118,6 +119,25 @@ class SystemConfig:
             core_area_mm2=catalog.core(core.name).area_mm2,
             llc_area_mm2=catalog.llc_area_mm2(self.llc_capacity_mb),
         )
+
+
+def _evaluate_design(config: SystemConfig) -> "tuple[NucaLLC, float, float]":
+    """The workload-independent LLC terms of ``config``.
+
+    Returns the LLC, its bank access latency and the zero-load network
+    latency over the config's floorplan, both in cycles.
+    """
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.counter("perfmodel.designs").add()
+    llc = config.llc()
+    network = config.resolved_interconnect().latency_cycles(config.floorplan(), config.node)
+    return llc, float(llc.bank_access_latency_cycles), float(network)
+
+
+#: Per-design LRU over :func:`_evaluate_design`, keyed on the config's content
+#: (a whole-paper run evaluates 827 distinct designs).
+design_cache = lru_cache(maxsize=4096)(_evaluate_design)
 
 
 @dataclass(frozen=True)
@@ -172,13 +192,16 @@ class AnalyticPerformanceModel:
             accesses_per_cycle: aggregate LLC access rate used for the (mild)
                 bank-contention term; 0 disables contention.
         """
-        llc = config.llc()
-        floorplan = config.floorplan()
-        network = config.resolved_interconnect().latency_cycles(floorplan, config.node)
+        # A config holding an InterconnectModel instance skips the cache:
+        # instances are mutable and hash by identity.
+        if isinstance(config.interconnect, InterconnectModel):
+            llc, bank_cycles, network_cycles = _evaluate_design(config)
+        else:
+            llc, bank_cycles, network_cycles = design_cache(config)
         contention = llc.queueing_delay_cycles(accesses_per_cycle) if accesses_per_cycle > 0 else 0.0
         return LlcAccessLatency(
-            bank_cycles=float(llc.bank_access_latency_cycles),
-            network_cycles=float(network),
+            bank_cycles=bank_cycles,
+            network_cycles=network_cycles,
             contention_cycles=float(contention),
         )
 
@@ -235,6 +258,9 @@ class AnalyticPerformanceModel:
         IPC; one fixed-point refinement pass is ample given how mild the
         contention is in the provisioned designs.
         """
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.counter("perfmodel.estimates").add()
         core = config.resolved_core()
         # First pass without contention.
         latency = self.llc_access_latency(config)

@@ -10,6 +10,7 @@ published 40nm figures and scales them to other nodes via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.technology.node import (
     NODE_40NM,
@@ -73,6 +74,29 @@ DDR4_INTERFACE_40NM = ComponentSpec("ddr4_interface", area_mm2=12.0, power_w=5.7
 SOC_MISC_40NM = ComponentSpec("soc_misc", area_mm2=42.0, power_w=5.0, analog=True)
 
 
+@lru_cache(maxsize=64)
+def _scaled_specs(node: TechnologyNode) -> "tuple[ComponentSpec, ...]":
+    """The six catalog specs scaled to ``node``, computed once per node.
+
+    Nodes and specs are frozen, so every catalog at an equal node can share
+    the same scaled specs.
+    """
+    interface = (
+        DDR4_INTERFACE_40NM if node.memory_standard.upper() == "DDR4" else DDR3_INTERFACE_40NM
+    )
+    return tuple(
+        spec.scaled(node)
+        for spec in (
+            CONVENTIONAL_CORE_40NM,
+            OOO_CORE_40NM,
+            INORDER_CORE_40NM,
+            LLC_PER_MB_40NM,
+            SOC_MISC_40NM,
+            interface,
+        )
+    )
+
+
 class ComponentCatalog:
     """Area/power lookups for every budgeted component at a given node.
 
@@ -83,15 +107,14 @@ class ComponentCatalog:
 
     def __init__(self, node: TechnologyNode = NODE_40NM):
         self.node = node
-        self.conventional_core = CONVENTIONAL_CORE_40NM.scaled(node)
-        self.ooo_core = OOO_CORE_40NM.scaled(node)
-        self.inorder_core = INORDER_CORE_40NM.scaled(node)
-        self.llc_per_mb = LLC_PER_MB_40NM.scaled(node)
-        self.soc_misc = SOC_MISC_40NM.scaled(node)
-        if node.memory_standard.upper() == "DDR4":
-            self.memory_interface = DDR4_INTERFACE_40NM.scaled(node)
-        else:
-            self.memory_interface = DDR3_INTERFACE_40NM.scaled(node)
+        (
+            self.conventional_core,
+            self.ooo_core,
+            self.inorder_core,
+            self.llc_per_mb,
+            self.soc_misc,
+            self.memory_interface,
+        ) = _scaled_specs(node)
 
     # ------------------------------------------------------------------ cores
     def core(self, core_type: str) -> ComponentSpec:

@@ -205,6 +205,7 @@ class TestBench:
             "dse_search_ga",
             "dse_search_halving",
             "sim_warm",
+            "perfmodel_sweep",
         }
         for entry in by_id.values():
             assert entry["units"] > 0
@@ -218,8 +219,18 @@ class TestBench:
             assert by_id[experiment]["evaluations_saved"] > 0
         assert by_id["sim_warm"]["state_identical"] is True
         assert by_id["sim_warm"]["parameters"] == {"llc_mb": 4.0, "seed": 7, "points": 105}
+        perfmodel = by_id["perfmodel_sweep"]
+        assert perfmodel["estimates_identical"] is True
+        assert perfmodel["estimates"] == perfmodel["units"] == 1512
+        assert perfmodel["designs"] == 216
+        for experiment in ("figure_4_6", "service_latency_sweep"):
+            tracer = by_id[experiment]["tracer"]
+            assert tracer["pairs"] >= 5 and tracer["limit_pct"] == 5.0
+        assert by_id["figure_4_6"]["tracer"]["parameters"]["duration_cycles"] == 8_000
+        assert by_id["service_latency_sweep"]["tracer"]["parameters"]["num_requests"] == 64_000
         for domain, experiment in (("noc", "figure_4_6"), ("service", "service_latency_sweep"),
-                                   ("dse", "pareto_kernel"), ("sim", "sim_warm")):
+                                   ("dse", "pareto_kernel"), ("sim", "sim_warm"),
+                                   ("perfmodel", "perfmodel_sweep")):
             payload = json.loads((tmp_path / f"BENCH_{domain}.json").read_text())
             assert payload["schema"] == 1
             assert payload["entries"][0]["experiment"] == experiment

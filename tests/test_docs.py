@@ -124,7 +124,8 @@ def test_readme_mentions_catalog_and_tier1_command():
 def test_performance_doc_mentions_both_committed_baselines():
     text = (REPO / "docs" / "performance.md").read_text(encoding="utf-8")
     schema_section = text[text.index("## The benchmark baseline"):]
-    for name in ("BENCH_noc.json", "BENCH_service.json", "BENCH_dse.json", "BENCH_sim.json"):
+    for name in ("BENCH_noc.json", "BENCH_service.json", "BENCH_dse.json", "BENCH_sim.json",
+                 "BENCH_perfmodel.json"):
         assert name in schema_section
         baseline = json.loads((REPO / name).read_text(encoding="utf-8"))
         for entry in baseline["entries"]:

@@ -18,6 +18,8 @@ ENFORCED = [
     REPO / "src" / "repro" / "obs",
     REPO / "src" / "repro" / "dse",
     REPO / "src" / "repro" / "report",
+    REPO / "src" / "repro" / "perfmodel",
+    REPO / "src" / "repro" / "technology",
     REPO / "src" / "repro" / "service" / "cluster.py",
     REPO / "src" / "repro" / "noc" / "fastpath.py",
     REPO / "src" / "repro" / "sim",

@@ -1,7 +1,13 @@
 """Tests for the analytic performance model and performance density."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from repro.experiments.registry import run_experiment
+from repro.interconnect import INTERCONNECTS, Floorplan, MeshInterconnect, interconnect_model
+from repro.obs.tracer import Tracer, use_tracer
 
 from repro.perfmodel import (
     AnalyticPerformanceModel,
@@ -11,6 +17,11 @@ from repro.perfmodel import (
     performance_density,
 )
 from repro.perfmodel.amat import CpiBreakdown, LlcAccessLatency
+from repro.perfmodel.analytic import design_cache
+from repro.runtime.bench import perfmodel_sweep_configs
+from repro.technology import components
+from repro.technology.components import ComponentCatalog
+from repro.technology.family import DEFAULT_FAMILY, FAMILY_NODE_NAMES
 from repro.technology.node import NODE_20NM, NODE_40NM
 from repro.workloads import default_suite, get_workload
 
@@ -45,6 +56,11 @@ class TestSystemConfig:
             SystemConfig(cores=1, llc_capacity_mb=0)
         with pytest.raises(ValueError):
             SystemConfig(cores=1, effective_capacity_factor=0)
+
+    def test_bad_llc_banks_fail_at_construction(self):
+        for banks in (0, -4):
+            with pytest.raises(ValueError, match="llc_banks must be >= 1"):
+                SystemConfig(cores=4, llc_banks=banks)
 
     def test_effective_capacity(self):
         config = SystemConfig(cores=4, llc_capacity_mb=8, effective_capacity_factor=0.5)
@@ -173,3 +189,111 @@ class TestPerformanceDensity:
             AreaBudget(cores_mm2=-1)
         with pytest.raises(ValueError):
             a.scaled(-1)
+
+
+FAMILY_NODES = [DEFAULT_FAMILY.node(name) for name in FAMILY_NODE_NAMES]
+
+#: 40nm component specs of each core type, scaled afresh by the oracles below.
+CORE_SPECS_40NM = {
+    "conventional": components.CONVENTIONAL_CORE_40NM,
+    "ooo": components.OOO_CORE_40NM,
+    "inorder": components.INORDER_CORE_40NM,
+}
+
+#: SHA-256 of every ``suite_estimates`` over the ``perfmodel_sweep`` grid,
+#: pinned from the model as it was before designs were cached.
+PERFMODEL_SWEEP_DIGEST = "fd03a922eac8401de8b9d4c485ef26fb0f5a563e2801b9d0d0df9360024a7761"
+
+
+class TestDesignCache:
+    """The per-design LLC/network terms and per-node specs are computed once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        node=st.sampled_from(FAMILY_NODES),
+        core_type=st.sampled_from(sorted(CORE_SPECS_40NM)),
+        interconnect=st.sampled_from(sorted(INTERCONNECTS)),
+        cores=st.sampled_from((1, 2, 4, 8, 16, 32, 64)),
+        llc_mb=st.sampled_from((1.0, 2.0, 4.0, 8.0)),
+        llc_banks=st.none() | st.integers(1, 32),
+        instruction_replication=st.booleans(),
+        accesses_per_cycle=st.sampled_from((0.0, 0.05, 0.5, 3.0)),
+    )
+    def test_llc_access_latency_matches_a_fresh_recomputation(
+        self, node, core_type, interconnect, cores, llc_mb, llc_banks,
+        instruction_replication, accesses_per_cycle,
+    ):
+        # The small grid repeats designs across examples, so most calls are
+        # cache hits; each must equal the terms recomputed from scratch.
+        config = SystemConfig(
+            cores=cores, core_type=core_type, llc_capacity_mb=llc_mb,
+            interconnect=interconnect, node=node, llc_banks=llc_banks,
+            instruction_replication=instruction_replication,
+        )
+        latency = AnalyticPerformanceModel().llc_access_latency(config, accesses_per_cycle)
+
+        llc = config.llc()
+        floorplan = Floorplan(
+            cores=cores,
+            core_area_mm2=CORE_SPECS_40NM[core_type].scaled(node).area_mm2,
+            llc_area_mm2=components.LLC_PER_MB_40NM.scaled(node).area_mm2 * llc_mb,
+        )
+        network = interconnect_model(interconnect).latency_cycles(floorplan, node)
+        contention = llc.queueing_delay_cycles(accesses_per_cycle) if accesses_per_cycle > 0 else 0.0
+        assert latency == LlcAccessLatency(
+            bank_cycles=float(llc.bank_access_latency_cycles),
+            network_cycles=float(network),
+            contention_cycles=float(contention),
+        )
+
+    def test_suite_estimates_over_the_perfmodel_sweep_grid_are_pinned(self):
+        design_cache.cache_clear()
+        model = AnalyticPerformanceModel()
+        digest = hashlib.sha256()
+        estimates = 0
+        for config in perfmodel_sweep_configs():
+            for e in model.suite_estimates(config).values():
+                estimates += 1
+                digest.update(repr((
+                    e.workload, e.cpi, e.llc_latency, e.llc_mpki, e.per_core_ipc,
+                    e.aggregate_ipc, e.offchip_bandwidth_gbps,
+                )).encode())
+        assert estimates == 1512
+        assert design_cache.cache_info().misses == 216
+        assert digest.hexdigest() == PERFMODEL_SWEEP_DIGEST
+
+    @pytest.mark.parametrize("name", FAMILY_NODE_NAMES)
+    def test_catalog_specs_equal_freshly_scaled_specs(self, name):
+        node = DEFAULT_FAMILY.node(name)
+        catalog = ComponentCatalog(node)
+        interface = (
+            components.DDR4_INTERFACE_40NM
+            if node.memory_standard.upper() == "DDR4"
+            else components.DDR3_INTERFACE_40NM
+        )
+        assert catalog.conventional_core == components.CONVENTIONAL_CORE_40NM.scaled(node)
+        assert catalog.ooo_core == components.OOO_CORE_40NM.scaled(node)
+        assert catalog.inorder_core == components.INORDER_CORE_40NM.scaled(node)
+        assert catalog.llc_per_mb == components.LLC_PER_MB_40NM.scaled(node)
+        assert catalog.soc_misc == components.SOC_MISC_40NM.scaled(node)
+        assert catalog.memory_interface == interface.scaled(node)
+
+    def test_instance_interconnect_bypasses_the_cache(self):
+        # Interconnect instances are mutable and hash by identity, so a
+        # cached design would keep the old hop latency.
+        mesh = MeshInterconnect()
+        config = SystemConfig(cores=16, interconnect=mesh)
+        model = AnalyticPerformanceModel()
+        workload = get_workload("Web Search")
+        before = model.estimate(workload, config)
+        mesh.cycles_per_hop = 6.0
+        after = model.estimate(workload, config)
+        assert after.llc_latency.network_cycles == 2 * before.llc_latency.network_cycles
+        assert after.per_core_ipc < before.per_core_ipc
+
+    def test_traced_run_counts_estimates_and_designs(self):
+        design_cache.cache_clear()
+        with use_tracer(Tracer()) as tracer:
+            run_experiment("figure_2_1", use_cache=False)
+        counters = tracer.counters()
+        assert counters["perfmodel.estimates"] > counters["perfmodel.designs"] > 0
