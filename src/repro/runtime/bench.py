@@ -4,8 +4,9 @@
 -- once on the default fast path and once on the pre-PR reference path (the
 ``use_fastpath=False`` / ``engine="event"`` escape hatches, the pure-Python
 Pareto reference and exhaustive exploration for the DSE targets, the
-per-line LLC warm-up for the sim target, or the analytic model with its
-design caches cleared for the perfmodel target) -- and writes one JSON file
+per-line LLC warm-up and the Python cores for the sim targets, or the
+analytic model with its design caches cleared for the perfmodel target) --
+and writes one JSON file
 per domain (``BENCH_noc.json``, ``BENCH_service.json``, ``BENCH_dse.json``,
 ``BENCH_sim.json``, ``BENCH_perfmodel.json``).  Committing those files gives every future change a
 recorded baseline to regress against.
@@ -60,6 +61,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from repro.perfmodel.analytic import SystemConfig
+    from repro.workloads.profile import WorkloadProfile
 
 #: Schema version stamped into every BENCH file.
 BENCH_SCHEMA = 1
@@ -308,6 +310,42 @@ def _bench_search(strategy: str) -> "Callable[[Mapping[str, object]], dict[str, 
     return runner
 
 
+def sim_catalog_points() -> "list[tuple[WorkloadProfile, SystemConfig, int, int]]":
+    """The catalog's 112 cycle-level simulation points, at the experiments' defaults.
+
+    ``figure_3_3``'s 105 (seven workloads, then three interconnects, then
+    1-16 cores; 4 MB LLC, seed 7), then ``figure_4_3``'s seven (16 cores, 8 MB
+    crossbar LLC, seed 11), in the order the experiments run them, each as
+    ``(workload, config, instructions_per_core, seed)`` with 6,000
+    instructions per core.
+    """
+    from repro.perfmodel.analytic import SystemConfig
+    from repro.workloads import default_suite
+
+    suite = default_suite()
+    figure_3_3 = [
+        (
+            workload,
+            SystemConfig(cores=cores, core_type="ooo", llc_capacity_mb=4.0, interconnect=net),
+            6_000,
+            7,
+        )
+        for workload in suite
+        for net in ("ideal", "crossbar", "mesh")
+        for cores in (1, 2, 4, 8, 16)
+    ]
+    figure_4_3 = [
+        (
+            workload,
+            SystemConfig(cores=16, core_type="ooo", llc_capacity_mb=8.0, interconnect="crossbar"),
+            6_000,
+            11,
+        )
+        for workload in suite
+    ]
+    return figure_3_3 + figure_4_3
+
+
 def _bench_sim_warm(overrides: "Mapping[str, object]") -> "dict[str, object]":
     """Time the bulk LLC warm-up against the per-line reference on figure_3_3's points.
 
@@ -320,41 +358,33 @@ def _bench_sim_warm(overrides: "Mapping[str, object]") -> "dict[str, object]":
     in the same state (resident tags, per-set LRU order, dirty bits, stats).
     The target takes no ``--set`` overrides.
     """
-    from repro.perfmodel.analytic import SystemConfig
     from repro.sim.system import SimulatedSystem, _reference_warm_caches
-    from repro.workloads import default_suite
     from repro.workloads.traces import SyntheticTraceGenerator
 
     llc_mb, seed = 4.0, 7
 
     def state(system: SimulatedSystem) -> "list[object]":
         """Per bank: resident tags in per-set LRU order with dirty bits, and stats."""
-        return [([list(s.items()) for s in bank._sets], bank.stats) for bank in system.banks]
+        return [bank.state() for bank in system.banks]
 
     fast_wall = reference_wall = 0.0
     lines = points = 0
     identical = True
-    for workload in default_suite():
-        for interconnect in ("ideal", "crossbar", "mesh"):
-            for cores in (1, 2, 4, 8, 16):
-                config = SystemConfig(
-                    cores=cores, core_type="ooo", llc_capacity_mb=llc_mb,
-                    interconnect=interconnect,
-                )
-                bulk = SimulatedSystem(workload, config, seed=seed)
-                reference = SimulatedSystem(workload, config, seed=seed)
-                generator = SyntheticTraceGenerator(
-                    workload, cores=cores, seed=seed, core_type=bulk.core.name
-                )
-                start = time.perf_counter()
-                bulk.warm_caches(generator)
-                fast_wall += time.perf_counter() - start
-                start = time.perf_counter()
-                _reference_warm_caches(reference, generator)
-                reference_wall += time.perf_counter() - start
-                lines += sum(bank.resident_lines for bank in bulk.banks)
-                identical = identical and state(bulk) == state(reference)
-                points += 1
+    for workload, config, _, point_seed in sim_catalog_points()[:105]:
+        bulk = SimulatedSystem(workload, config, seed=point_seed)
+        reference = SimulatedSystem(workload, config, seed=point_seed)
+        generator = SyntheticTraceGenerator(
+            workload, cores=config.cores, seed=point_seed, core_type=bulk.core.name
+        )
+        start = time.perf_counter()
+        bulk.warm_caches(generator)
+        fast_wall += time.perf_counter() - start
+        start = time.perf_counter()
+        _reference_warm_caches(reference, generator)
+        reference_wall += time.perf_counter() - start
+        lines += sum(bank.resident_lines for bank in bulk.banks)
+        identical = identical and state(bulk) == state(reference)
+        points += 1
 
     return {
         "unit": "lines",
@@ -370,6 +400,80 @@ def _bench_sim_warm(overrides: "Mapping[str, object]") -> "dict[str, object]":
         },
         "speedup": round(reference_wall / max(fast_wall, 1e-9), 2),
         "state_identical": identical,
+    }
+
+
+#: Interleaved repeats of each ``sim_run`` variant (medians recorded).
+_SIM_RUN_REPEATS = 3
+
+
+def _bench_sim_run(overrides: "Mapping[str, object]") -> "dict[str, object]":
+    """Time the compiled measured window against the Python model on the catalog's points.
+
+    For each of the 112 :func:`sim_catalog_points`, each variant gets a
+    freshly built and warmed system and the point's traces, and only the
+    measured window is timed: the compiled kernel
+    (:func:`repro.sim.kernel.run_window`) against the Python cores and
+    :meth:`~repro.sim.system.SimulatedSystem.llc_request`, the model it
+    replaced and its oracle.  Each variant is timed ``_SIM_RUN_REPEATS``
+    times, interleaved, and the medians are recorded, with the LLC accesses
+    simulated and whether both variants left equal statistics and banks.
+    Without a compiled library both variants run the Python model.  The
+    target takes no ``--set`` overrides.
+    """
+    from repro.service import native
+    from repro.sim.system import SimulatedSystem
+    from repro.workloads.traces import SyntheticTraceGenerator
+
+    library = native.load()
+    points = []
+    for workload, config, instructions, seed in sim_catalog_points():
+        generator = SyntheticTraceGenerator(
+            workload, cores=config.cores, seed=seed, core_type=config.core_type
+        )
+        points.append((workload, config, seed, generator, generator.traces(instructions)))
+
+    def window(kernel: "object | None") -> "tuple[float, list[object]]":
+        """Seconds in the measured windows and every point's end state."""
+        wall, states = 0.0, []
+        for workload, config, seed, generator, traces in points:
+            system = SimulatedSystem(workload, config, seed=seed)
+            system.warm_caches(generator)
+            start = time.perf_counter()
+            stats = system._measure(traces, kernel)
+            wall += time.perf_counter() - start
+            states.append((stats, [bank.state() for bank in system.banks]))
+        return wall, states
+
+    fast_walls: "list[float]" = []
+    reference_walls: "list[float]" = []
+    identical = True
+    for _ in range(_SIM_RUN_REPEATS):
+        fast_wall, fast_states = window(library)
+        reference_wall, reference_states = window(None)
+        fast_walls.append(fast_wall)
+        reference_walls.append(reference_wall)
+        identical = identical and fast_states == reference_states
+    fast_wall = statistics.median(fast_walls)
+    reference_wall = statistics.median(reference_walls)
+    accesses = sum(stats.llc_accesses for stats, _ in fast_states)
+    return {
+        "unit": "llc_accesses",
+        "units": accesses,
+        "parameters": {"points": len(points), "repeats": _SIM_RUN_REPEATS},
+        "fastpath": {
+            "wall_s": round(fast_wall, 6),
+            "units_per_s": round(accesses / max(fast_wall, 1e-9), 1),
+            "kernel": "python" if library is None else "c",
+        },
+        "reference": {
+            "wall_s": round(reference_wall, 6),
+            "units_per_s": round(accesses / max(reference_wall, 1e-9), 1),
+        },
+        "speedup": round(reference_wall / max(fast_wall, 1e-9), 2),
+        "points": len(points),
+        "llc_accesses": accesses,
+        "stats_identical": identical,
     }
 
 
@@ -491,7 +595,8 @@ class BenchTarget:
 
 
 #: The recorded perf trajectory: NoC, service, the three DSE benchmarks, the
-#: cycle-level simulator's LLC warm-up, and the analytic model's design cache.
+#: cycle-level simulator's LLC warm-up and measured window, and the analytic
+#: model's design cache.
 BENCH_TARGETS: "dict[str, BenchTarget]" = {
     "figure_4_6": BenchTarget(
         experiment_id="figure_4_6",
@@ -536,6 +641,12 @@ BENCH_TARGETS: "dict[str, BenchTarget]" = {
         domain="sim",
         unit="lines",
         runner=_bench_sim_warm,
+    ),
+    "sim_run": BenchTarget(
+        experiment_id="sim_run",
+        domain="sim",
+        unit="llc_accesses",
+        runner=_bench_sim_run,
     ),
     "perfmodel_sweep": BenchTarget(
         experiment_id="perfmodel_sweep",

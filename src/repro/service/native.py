@@ -1,17 +1,19 @@
-"""Compiled serving kernels: built on first use, cached per user, loaded with ctypes.
+"""Compiled kernels: built on first use, cached per user, loaded with ctypes.
 
 ``kernels.c`` (next to this module) holds C versions of the two serving
-kernels in :mod:`repro.service.cluster`.  :func:`load` compiles it with the
-local ``gcc`` the first time a kernel runs -- never at import -- and returns
-the loaded library, or ``None`` when no compiler is found or the build fails;
-the callers then run the pure-Python kernels, which stay the oracle.
+kernels in :mod:`repro.service.cluster`, and ``repro/sim/kernel.c`` the
+cycle-level simulator's measured window (:mod:`repro.sim.kernel`).  Both are
+built into one library.  :func:`load` compiles it with the local ``gcc`` the
+first time a kernel runs -- never at import -- and returns the loaded
+library, or ``None`` when no compiler is found or the build fails; the
+callers then run the pure-Python models, which stay the oracles.
 
 Build rules:
 
 * flags are ``-O2 -ffp-contract=off`` (no fused multiply-add), with no
   ``-ffast-math`` and no ``-march=native``, so doubles round exactly as in
   Python and results do not depend on the host's instruction set;
-* the library's file name carries a SHA-256 of the source, the flags and the
+* the library's file name carries a SHA-256 of the sources, the flags and the
   compiler's identity (its resolved path, size and modification time -- a
   compiler upgrade replaces the binary), so an edit or an upgrade never loads
   a stale build.  The identity is read with ``stat``, not by running the
@@ -37,7 +39,11 @@ from pathlib import Path
 COMPILER = "gcc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-SOURCE = Path(__file__).with_name("kernels.c")
+#: The C sources built into the one library (part of its cache key).
+SOURCES = (
+    Path(__file__).with_name("kernels.c"),
+    Path(__file__).parents[1] / "sim" / "kernel.c",
+)
 
 _UNLOADED = object()
 _library = _UNLOADED
@@ -72,6 +78,9 @@ def _build_and_load() -> "ctypes.CDLL | None":
         return None
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    flags = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
+    words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    pointers = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     size = ctypes.c_int64
     library.fcfs_completion_times.restype = None
     library.fcfs_completion_times.argtypes = [
@@ -81,6 +90,14 @@ def _build_and_load() -> "ctypes.CDLL | None":
     library.balanced_completion_times.argtypes = [
         size, doubles, doubles, size, size, ctypes.c_void_p,
         doubles, ints, doubles, ints, doubles, ints,
+    ]
+    library.sim_run.restype = size
+    library.sim_run.argtypes = [
+        ints, doubles, ints, ints, ints, flags, flags,
+        pointers, pointers, pointers, ints, doubles,
+        doubles, ints, doubles, ints, words, ints,
+        ints, words, ints, ints, doubles,
+        doubles, ints, doubles,
     ]
     return library
 
@@ -98,7 +115,8 @@ def _built_library() -> Path:
     compiler = os.path.realpath(compiler)
     info = os.stat(compiler)
     identity = f"{compiler}\0{info.st_size}\0{info.st_mtime_ns}\0{' '.join(FLAGS)}"
-    key = hashlib.sha256(SOURCE.read_bytes() + b"\0" + identity.encode()).hexdigest()
+    sources = b"\0".join(source.read_bytes() for source in SOURCES)
+    key = hashlib.sha256(sources + b"\0" + identity.encode()).hexdigest()
     directory = cache_directory()
     target = directory / f"kernels-{key[:32]}.so"
     if _writable_only_by_us(target, stat.S_ISREG):
@@ -107,7 +125,7 @@ def _built_library() -> Path:
     os.close(handle)
     try:
         subprocess.run(
-            [compiler, *FLAGS, "-o", scratch, str(SOURCE)],
+            [compiler, *FLAGS, "-o", scratch, *map(str, SOURCES)],
             capture_output=True, check=True, timeout=120,
         )
         os.chmod(scratch, 0o700)  # whatever the umask, no one else may write it

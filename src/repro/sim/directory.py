@@ -10,7 +10,7 @@ of LLC accesses (Figure 4.3), which is the property NOC-Out exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -35,16 +35,20 @@ class DirectoryStats:
 
 
 class Directory:
-    """Sharer-tracking directory for one coherence domain (one pod)."""
+    """Sharer-tracking directory for one coherence domain (one pod).
+
+    Each tracked line keeps its sharers as a bitmask (bit ``c`` set when core
+    ``c`` holds the line) and, while one core holds it modified, that owner.
+    """
 
     def __init__(self, line_bytes: int = 64):
         if line_bytes <= 0:
             raise ValueError("line_bytes must be positive")
         self.line_bytes = line_bytes
-        #: line address -> set of core ids holding the line in their L1.
-        self._sharers: "dict[int, set[int]]" = {}
-        #: line address -> core id holding the line modified (or None).
-        self._owner: "dict[int, int]" = {}
+        #: line address -> bitmask of the core ids holding the line in their L1.
+        self.sharers: "dict[int, int]" = {}
+        #: line address -> core id holding the line modified.
+        self.owners: "dict[int, int]" = {}
         self.stats = DirectoryStats()
 
     def _line(self, address: int) -> int:
@@ -55,35 +59,34 @@ class Directory:
         """Record an LLC access by ``core_id`` and return the number of snoops sent."""
         line = self._line(address)
         self.stats.lookups += 1
-        sharers = self._sharers.setdefault(line, set())
-        owner = self._owner.get(line)
+        sharers = self.sharers.get(line, 0)
+        me = 1 << core_id
         snoops = 0
 
         if is_write:
             # Invalidate every other sharer; the writer becomes the owner.
-            others = sharers - {core_id}
-            if others:
-                snoops += len(others)
-                self.stats.invalidation_snoops += len(others)
-            sharers.clear()
-            sharers.add(core_id)
-            self._owner[line] = core_id
+            snoops = (sharers & ~me).bit_count()
+            self.stats.invalidation_snoops += snoops
+            self.sharers[line] = me
+            self.owners[line] = core_id
         else:
             # A read of a line owned (modified) by another core forwards from its L1.
+            owner = self.owners.get(line)
             if owner is not None and owner != core_id:
-                snoops += 1
+                snoops = 1
                 self.stats.forward_snoops += 1
-                self._owner.pop(line, None)
-            sharers.add(core_id)
+                del self.owners[line]
+            self.sharers[line] = sharers | me
         return snoops
 
     # ------------------------------------------------------------- eviction
     def evict(self, address: int) -> None:
         """Drop directory state for a line evicted from the LLC (inclusive LLC)."""
         line = self._line(address)
-        self._sharers.pop(line, None)
-        self._owner.pop(line, None)
+        self.sharers.pop(line, None)
+        self.owners.pop(line, None)
 
     def sharers_of(self, address: int) -> "frozenset[int]":
         """Cores currently recorded as sharing ``address``."""
-        return frozenset(self._sharers.get(self._line(address), set()))
+        mask = self.sharers.get(self._line(address), 0)
+        return frozenset(core for core in range(mask.bit_length()) if mask >> core & 1)

@@ -9,6 +9,7 @@ rates, snoop fractions, and memory traffic.
 from __future__ import annotations
 
 import heapq
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,7 +23,10 @@ from repro.sim.directory import Directory
 from repro.sim.memctrl import MemoryChannelSim
 from repro.sim.stats import SimulationStats
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.traces import SyntheticTraceGenerator
+from repro.workloads.traces import CoreTrace, SyntheticTraceGenerator
+
+if TYPE_CHECKING:
+    import ctypes
 
 #: Regions the warm-up installs, in criticality order.
 _WARM_REGIONS = ("instructions", "shared_small", "shared_hot", "capturable")
@@ -36,6 +40,9 @@ class SimulatedSystem:
         config: system configuration (cores, core type, LLC, interconnect, node).
         memory_channels: number of DRAM channels; defaults to one per eight cores.
         seed: RNG seed for trace generation.
+
+    Raises:
+        ValueError: if ``memory_channels`` is below one.
     """
 
     #: LLC bank service time (cycles a bank is occupied per access).
@@ -70,6 +77,8 @@ class SimulatedSystem:
 
         if memory_channels is None:
             memory_channels = max(1, config.cores // 8)
+        if memory_channels < 1:
+            raise ValueError("memory_channels must be >= 1")
         dram = channel_for_standard(self.node.memory_standard)
         self.channels = [
             MemoryChannelSim(dram, self.node, llc.line_bytes) for _ in range(memory_channels)
@@ -132,7 +141,10 @@ class SimulatedSystem:
             latency = (completion - now) + self.network_latency  # response traversal
             evicted = bank.fill(local_address, dirty=is_write)
             if evicted is not None:
-                self.directory.evict(evicted)
+                # The bank names its victim by bank-local address; the
+                # directory tracks global lines.
+                victim_line = evicted // self._line_bytes * self.num_banks + bank_id
+                self.directory.evict(victim_line * self._line_bytes)
         return latency
 
     # ----------------------------------------------------------------- warmup
@@ -145,31 +157,44 @@ class SimulatedSystem:
         secondary working set.  Regions are installed in criticality order
         (instructions, shared OS data, hot shared lines, secondary working set)
         until 95% of the LLC's lines are used, so smaller LLCs naturally hold less
-        of the capturable content.  Each bank takes its share in one
+        of the capturable content.  A region's lines are consecutive, so its
+        share of each bank is a run of consecutive bank-local lines.
+        Each bank takes its share in one
         :meth:`SetAssociativeCache.install`, which leaves exactly the state of
         filling the lines one at a time (:func:`_reference_warm_caches`).
         """
         total_lines = sum(bank.num_sets * bank.associativity for bank in self.banks)
-        chunks = []
+        budget = int(total_lines * 0.95)
+        line_bytes, num_banks = self._line_bytes, self.num_banks
+        per_bank: "list[list[np.ndarray]]" = [[] for _ in self.banks]
         for region_name in _WARM_REGIONS:
             region = generator.regions[region_name]
-            lines_in_region = max(1, region.size_bytes // self._line_bytes)
-            chunks.append(region.base + np.arange(lines_in_region) * self._line_bytes)
-        addresses = np.concatenate(chunks)[: int(total_lines * 0.95)]
-        lines = addresses // self._line_bytes
-        bank_ids = lines % self.num_banks
-        local = (lines // self.num_banks) * self._line_bytes + addresses % self._line_bytes
-        by_bank = local[np.argsort(bank_ids, kind="stable")]
-        splits = np.cumsum(np.bincount(bank_ids, minlength=self.num_banks))[:-1]
-        for bank, bank_addresses in zip(self.banks, np.split(by_bank, splits)):
-            bank.install(bank_addresses)
+            first = region.base // line_bytes
+            count = min(max(1, region.size_bytes // line_bytes), budget)
+            budget -= count
+            # The region's lines first .. first + count - 1 that map to bank b
+            # are every num_banks-th line from the first one that does; the
+            # bank sees them as consecutive local lines.
+            for bank_id, chunks in enumerate(per_bank):
+                skip = (bank_id - first) % num_banks
+                if skip < count:
+                    local = (first + skip) // num_banks
+                    chunks.append(np.arange(local, local + (count - skip - 1) // num_banks + 1))
+        for bank, chunks in zip(self.banks, per_bank):
+            if chunks:
+                bank.install(np.concatenate(chunks) * line_bytes)
 
     # -------------------------------------------------------------------- run
     def run(self, instructions_per_core: int = 20_000, warmup: bool = True) -> SimulationStats:
         """Generate traces, run every core, and aggregate the statistics.
 
         A system runs once: its caches, directory and statistics carry the
-        state of that run.
+        state of that run.  The measured window runs in the compiled kernel
+        (:mod:`repro.sim.kernel`) when :func:`repro.service.native.load`
+        provides it and the system has at most
+        :data:`~repro.sim.kernel.MAX_CORES` cores, else in the Python model;
+        both leave identical statistics and state.  Under an enabled tracer
+        each run counts ``sim.kernel.c`` or ``sim.kernel.python``.
 
         Raises:
             ValueError: if ``instructions_per_core`` is not positive.
@@ -180,6 +205,12 @@ class SimulatedSystem:
         if self._ran:
             raise RuntimeError("SimulatedSystem.run() is one-shot; build a new system to rerun")
         self._ran = True
+        # The kernel machinery is imported on the first run, off the
+        # package's import time.
+        from repro.obs.tracer import get_tracer
+        from repro.service import native
+        from repro.sim import kernel
+
         generator = SyntheticTraceGenerator(
             self.workload,
             cores=self.config.cores,
@@ -188,15 +219,42 @@ class SimulatedSystem:
         )
         if warmup:
             self.warm_caches(generator)
+        traces = [
+            generator.events_for_core(c, instructions_per_core) for c in range(self.config.cores)
+        ]
+        library = native.load() if len(traces) <= kernel.MAX_CORES else None
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.counter(f"sim.kernel.{'python' if library is None else 'c'}").add()
+        return self._measure(traces, library)
+
+    def _measure(
+        self, traces: "list[CoreTrace]", library: "ctypes.CDLL | None"
+    ) -> SimulationStats:
+        """Run the measured window on ``library``'s kernel (``None``: in Python)."""
+        from repro.sim import kernel
+
+        if library is None:
+            cycles, instructions = self._run_cores(traces)
+        else:
+            cycles, instructions = kernel.run_window(library, self, traces)
+        self.stats.per_core_cycles.extend(cycles)
+        self.stats.per_core_instructions.extend(instructions)
+        self.stats.instructions += sum(instructions)
+        self.stats.cycles = max(self.stats.per_core_cycles) if self.stats.per_core_cycles else 0.0
+        return self.stats
+
+    def _run_cores(self, traces: "list[CoreTrace]") -> "tuple[list[float], list[int]]":
+        """The Python model of the window: per-core ``(cycles, instructions)``."""
         cores = [
             TraceDrivenCore(
                 core_id=c,
                 core_model=self.core,
                 workload=self.workload,
-                trace=generator.events_for_core(c, instructions_per_core),
+                trace=trace,
                 llc_request=self.llc_request,
             )
-            for c in range(self.config.cores)
+            for c, trace in enumerate(traces)
         ]
         # Interleave the cores in global time order: always advance the core with
         # the earliest local clock, so shared bank/channel contention state sees
@@ -208,12 +266,7 @@ class SimulatedSystem:
             new_clock = cores[core_id].step()
             if new_clock is not None:
                 heapq.heappush(heap, (new_clock, core_id))
-        for core in cores:
-            self.stats.per_core_cycles.append(core.stats.cycles)
-            self.stats.per_core_instructions.append(core.stats.instructions)
-            self.stats.instructions += core.stats.instructions
-        self.stats.cycles = max(self.stats.per_core_cycles) if self.stats.per_core_cycles else 0.0
-        return self.stats
+        return [core.stats.cycles for core in cores], [core.stats.instructions for core in cores]
 
 
 def simulate_system(

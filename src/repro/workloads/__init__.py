@@ -28,7 +28,7 @@ from repro.workloads.cloudsuite import (
     workload_names,
 )
 from repro.workloads.suite import WorkloadSuite, default_suite
-from repro.workloads.traces import SyntheticTraceGenerator, TraceEvent
+from repro.workloads.traces import CoreTrace, SyntheticTraceGenerator
 
 __all__ = [
     "CaptureCurve",
@@ -48,5 +48,5 @@ __all__ = [
     "WorkloadSuite",
     "default_suite",
     "SyntheticTraceGenerator",
-    "TraceEvent",
+    "CoreTrace",
 ]

@@ -1,8 +1,8 @@
 """Synthetic memory-reference trace generation.
 
 The cycle-level simulator (:mod:`repro.sim`) is trace-driven: each core consumes a
-stream of :class:`TraceEvent` records describing the memory references the core
-makes between committed instructions.  The original study extracted this behaviour
+:class:`CoreTrace`, the columns of the memory references the core makes between
+committed instructions.  The original study extracted this behaviour
 from full-system execution of CloudSuite; here we synthesize statistically
 equivalent traces from the workload profiles.
 
@@ -30,9 +30,7 @@ directory, reproducing Figure 4.3's low snoop rates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,26 +45,62 @@ DATA_ACCESS_RATE = 0.32
 #: Fraction of data references that are writes.
 WRITE_FRACTION = 0.22
 
+#: Regions an event can reference: the four event classes in the order their
+#: probabilities are drawn, then the hot shared region.
+_EVENT_REGIONS = ("instructions", "dataset", "capturable", "shared_small", "shared_hot")
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One memory reference in a synthetic trace.
+#: Column name -> dtype of a :class:`CoreTrace`.
+_COLUMNS = {
+    "instruction_gap": np.int64,
+    "address": np.int64,
+    "is_instruction": np.bool_,
+    "is_write": np.bool_,
+    "shared": np.bool_,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class CoreTrace:
+    """One core's synthetic reference trace, one numpy column per field.
+
+    Event ``i`` of the trace is row ``i`` of every column.  Columns given as
+    sequences are converted to arrays (int64 for the numbers, bool for the
+    flags), so a hand-written trace reads as the generated ones do.
 
     Attributes:
-        instruction_gap: number of instructions committed since the previous
-            reference from this core (models compute between memory operations).
-        address: byte address of the reference (line-aligned).
+        instruction_gap: instructions committed since the previous reference
+            from this core (models compute between memory operations).
+        address: byte address of each reference (line-aligned).
         is_instruction: True for an instruction fetch that missed the L1-I.
         is_write: True for stores.
         shared: True when the line is actively shared with other cores (may
             trigger a coherence snoop at the directory).
     """
 
-    instruction_gap: int
-    address: int
-    is_instruction: bool
-    is_write: bool
-    shared: bool
+    instruction_gap: np.ndarray
+    address: np.ndarray
+    is_instruction: np.ndarray
+    is_write: np.ndarray
+    shared: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMNS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({column.shape for column in self.columns()}) != 1 or self.address.ndim != 1:
+            raise ValueError("a trace's columns must be 1-D and of equal length")
+
+    def __len__(self) -> int:
+        return len(self.address)
+
+    def columns(self) -> "tuple[np.ndarray, ...]":
+        """The five columns, in field order."""
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    @classmethod
+    def empty(cls) -> "CoreTrace":
+        """A trace with no references."""
+        return cls(*([] for _ in _COLUMNS))
+
 
 
 @dataclass(frozen=True)
@@ -77,10 +111,10 @@ class _Region:
     base: int
     size_bytes: int
 
-    def pick(self, rng: np.random.Generator) -> int:
-        """Pick a random line-aligned address inside the region."""
-        lines = max(1, self.size_bytes // LINE_BYTES)
-        return self.base + int(rng.integers(0, lines)) * LINE_BYTES
+    @property
+    def lines(self) -> int:
+        """Lines in the region (at least one)."""
+        return max(1, self.size_bytes // LINE_BYTES)
 
 
 class SyntheticTraceGenerator:
@@ -154,13 +188,19 @@ class SyntheticTraceGenerator:
         return self.l1i_miss_per_instr + self.l1d_miss_per_instr
 
     # ------------------------------------------------------------- generator
-    def events_for_core(self, core_id: int, instructions: int) -> "list[TraceEvent]":
+    def events_for_core(self, core_id: int, instructions: int) -> CoreTrace:
         """Generate the reference trace for ``core_id`` covering ``instructions``.
 
         Only references that reach the LLC (L1 misses) are emitted, plus a small
         stream of actively-shared references; L1-resident traffic is summarized by
         the instruction gaps.  This is the reduced-fidelity substitution for
         full-system tracing (see ``repro.sim`` in ``docs/architecture.md``).
+
+        Every column is drawn in one call: the event classes, the gaps, the
+        write and shared flags, then one line offset per event inside its
+        region (``rng.integers`` over an array of region sizes draws exactly
+        what one scalar call per event would, leaving the stream in the same
+        state).
         """
         if core_id < 0 or core_id >= self.cores:
             raise ValueError(f"core_id {core_id} out of range for {self.cores} cores")
@@ -177,44 +217,37 @@ class SyntheticTraceGenerator:
         p_shared_small = self.shared_small_per_instr
         p_total = p_instr + p_dataset + p_capturable + p_shared_small
         if p_total <= 0:
-            return []
+            return CoreTrace.empty()
 
         # Number of LLC-visible references in this window (expected value, made
         # deterministic to keep traces stable across runs).
         n_events = max(1, int(round(instructions * p_total)))
         gap_mean = instructions / n_events
 
+        # Event classes index _EVENT_REGIONS; shared data references go to the
+        # hot shared region instead (its index is the last one).
         kinds = rng.choice(
-            ["instructions", "dataset", "capturable", "shared_small"],
+            len(_EVENT_REGIONS) - 1,
             size=n_events,
             p=[p_instr / p_total, p_dataset / p_total, p_capturable / p_total, p_shared_small / p_total],
         )
         gaps = rng.poisson(gap_mean, size=n_events)
-        writes = rng.random(n_events) < WRITE_FRACTION
-        shared_draw = rng.random(n_events) < workload.snoop_fraction
+        is_instruction = kinds == 0
+        is_write = (rng.random(n_events) < WRITE_FRACTION) & ~is_instruction
+        shared = (rng.random(n_events) < workload.snoop_fraction) & ~is_instruction
+        regions = [self.regions[name] for name in _EVENT_REGIONS]
+        region = np.where(shared, len(regions) - 1, kinds)
+        bases = np.array([r.base for r in regions], dtype=np.int64)
+        lines = np.array([r.lines for r in regions], dtype=np.int64)
+        offsets = rng.integers(0, lines[region])
+        return CoreTrace(
+            instruction_gap=np.maximum(gaps, 1),
+            address=bases[region] + offsets * LINE_BYTES,
+            is_instruction=is_instruction,
+            is_write=is_write,
+            shared=shared,
+        )
 
-        events: "list[TraceEvent]" = []
-        for kind, gap, is_write, is_shared in zip(kinds, gaps, writes, shared_draw):
-            is_instruction = kind == "instructions"
-            if is_instruction:
-                region = self.regions["instructions"]
-                is_write = False
-                is_shared = False
-            elif is_shared:
-                region = self.regions["shared_hot"]
-            else:
-                region = self.regions[str(kind)]
-            events.append(
-                TraceEvent(
-                    instruction_gap=int(max(1, gap)),
-                    address=region.pick(rng),
-                    is_instruction=is_instruction,
-                    is_write=bool(is_write),
-                    shared=bool(is_shared),
-                )
-            )
-        return events
-
-    def traces(self, instructions_per_core: int) -> "list[list[TraceEvent]]":
+    def traces(self, instructions_per_core: int) -> "list[CoreTrace]":
         """Traces for every core, indexed by core id."""
         return [self.events_for_core(c, instructions_per_core) for c in range(self.cores)]

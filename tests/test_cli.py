@@ -205,6 +205,7 @@ class TestBench:
             "dse_search_ga",
             "dse_search_halving",
             "sim_warm",
+            "sim_run",
             "perfmodel_sweep",
         }
         for entry in by_id.values():
@@ -219,6 +220,10 @@ class TestBench:
             assert by_id[experiment]["evaluations_saved"] > 0
         assert by_id["sim_warm"]["state_identical"] is True
         assert by_id["sim_warm"]["parameters"] == {"llc_mb": 4.0, "seed": 7, "points": 105}
+        sim_run = by_id["sim_run"]
+        assert sim_run["stats_identical"] is True
+        assert sim_run["points"] == 112 and sim_run["parameters"]["repeats"] >= 3
+        assert sim_run["llc_accesses"] == sim_run["units"] == 181_812
         perfmodel = by_id["perfmodel_sweep"]
         assert perfmodel["estimates_identical"] is True
         assert perfmodel["estimates"] == perfmodel["units"] == 1512
@@ -234,6 +239,8 @@ class TestBench:
             payload = json.loads((tmp_path / f"BENCH_{domain}.json").read_text())
             assert payload["schema"] == 1
             assert payload["entries"][0]["experiment"] == experiment
+        sim_entries = json.loads((tmp_path / "BENCH_sim.json").read_text())["entries"]
+        assert [entry["experiment"] for entry in sim_entries] == ["sim_warm", "sim_run"]
 
     def test_bench_json_unregistered_id_times_fastpath_only(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -23,6 +23,7 @@ ENFORCED = [
     REPO / "src" / "repro" / "service" / "cluster.py",
     REPO / "src" / "repro" / "noc" / "fastpath.py",
     REPO / "src" / "repro" / "sim",
+    REPO / "src" / "repro" / "workloads",
 ]
 
 

@@ -18,5 +18,7 @@ def test_pyproject_declares_the_repro_package():
     assert project["dependencies"] == ["numpy"]
     setuptools = metadata["tool"]["setuptools"]
     assert setuptools["packages"]["find"]["where"] == ["src"]
-    # native.py compiles the C serving kernels from the installed source file.
+    # native.py compiles the C serving and simulation kernels from the
+    # installed source files.
     assert setuptools["package-data"]["repro.service"] == ["kernels.c"]
+    assert setuptools["package-data"]["repro.sim"] == ["kernel.c"]

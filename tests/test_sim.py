@@ -1,5 +1,8 @@
 """Tests for the cycle-level simulation substrate."""
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,13 +15,13 @@ from repro.sim.engine import EventQueue
 from repro.sim.memctrl import MemoryChannelSim
 from repro.sim.system import SimulatedSystem, _reference_warm_caches, simulate_system
 from repro.technology.node import NODE_40NM
-from repro.workloads import get_workload
-from repro.workloads.traces import SyntheticTraceGenerator, TraceEvent
+from repro.workloads import default_suite, get_workload
+from repro.workloads.traces import CoreTrace, SyntheticTraceGenerator
 
 
 def _cache_state(cache):
     """Everything install() must reproduce: per-set LRU order, dirty bits, stats."""
-    return [list(cache_set.items()) for cache_set in cache._sets], cache.stats
+    return cache.state()
 
 
 class TestSimulationStats:
@@ -328,11 +331,13 @@ class TestMemoryChannel:
 
 class TestTraceDrivenCore:
     def _trace(self):
-        return [
-            TraceEvent(instruction_gap=10, address=0x1000, is_instruction=True, is_write=False, shared=False),
-            TraceEvent(instruction_gap=10, address=0x2000, is_instruction=False, is_write=False, shared=False),
-            TraceEvent(instruction_gap=10, address=0x3000, is_instruction=False, is_write=True, shared=False),
-        ]
+        return CoreTrace(
+            instruction_gap=[10, 10, 10],
+            address=[0x1000, 0x2000, 0x3000],
+            is_instruction=[True, False, False],
+            is_write=[False, False, True],
+            shared=[False, False, False],
+        )
 
     def test_instruction_fetches_stall_fully(self):
         latencies = []
@@ -349,10 +354,13 @@ class TestTraceDrivenCore:
     def test_data_requests_overlap_within_window(self):
         def llc_request(core_id, address, is_write, is_instruction, now):
             return 100.0
-        trace = [
-            TraceEvent(instruction_gap=1, address=0x1000 * (i + 1), is_instruction=False, is_write=False, shared=False)
-            for i in range(4)
-        ]
+        trace = CoreTrace(
+            instruction_gap=[1] * 4,
+            address=[0x1000 * (i + 1) for i in range(4)],
+            is_instruction=[False] * 4,
+            is_write=[False] * 4,
+            shared=[False] * 4,
+        )
         core = TraceDrivenCore(0, OOO, get_workload("Web Search"), trace, llc_request)
         stats = core.run()
         # Four overlapping 100-cycle misses must not serialize into 400 cycles.
@@ -423,6 +431,13 @@ class TestSimulatedSystem:
         with pytest.raises(ValueError):
             SimulatedSystem(workload, config).run(0)
 
+    def test_needs_a_memory_channel(self):
+        # Without a channel every miss would fail late, differently on the
+        # compiled and the Python window.
+        config = SystemConfig(cores=2, llc_capacity_mb=2)
+        with pytest.raises(ValueError, match="memory_channels"):
+            SimulatedSystem(get_workload("Web Search"), config, memory_channels=0)
+
     def test_run_is_one_shot(self):
         workload = get_workload("Web Search")
         config = SystemConfig(cores=2, llc_capacity_mb=2)
@@ -454,3 +469,190 @@ class TestSimulatedSystem:
         system = SimulatedSystem(workload, config, memory_channels=2, seed=3)
         system.run(2000, warmup=False)
         assert all(channel.requests > 0 for channel in system.channels)
+
+
+# ------------------------------------------------------- compiled measured window
+
+
+def _library():
+    """The compiled kernels, or a skip when this host cannot build them."""
+    from repro.service import native
+
+    library = native.load()
+    if library is None:
+        pytest.skip("no compiled kernel library (no C compiler)")
+    return library
+
+
+def _end_state(system):
+    """Everything a measured window leaves behind, comparable with ``==``."""
+    return (
+        system.stats,
+        [bank.state() for bank in system.banks],
+        system._bank_next_free,
+        system.directory.sharers,
+        system.directory.owners,
+        system.directory.stats,
+        [(channel._next_free, channel.requests, channel.busy_cycles) for channel in system.channels],
+    )
+
+
+def _measured(workload, config, instructions, seed, warmup, library, memory_channels=None):
+    """A fresh system after one measured window on ``library`` (None: Python)."""
+    system = SimulatedSystem(workload, config, memory_channels=memory_channels, seed=seed)
+    generator = SyntheticTraceGenerator(
+        workload, cores=config.cores, seed=seed, core_type=system.core.name
+    )
+    if warmup:
+        system.warm_caches(generator)
+    system._measure(generator.traces(instructions), library)
+    return system
+
+
+class TestDirectoryEviction:
+    @pytest.mark.parametrize("path", ["python", "c"])
+    def test_eviction_drops_the_victims_global_line(self, path):
+        # Two banks: global line L lives in bank L % 2 as local line L // 2.
+        # Core 0 reads ways + 1 lines of bank 1's set 0, so the first of them
+        # (global line 1, local line 0) is evicted; the directory must drop
+        # line 1, not global line 0 -- which core 1 read and still shares.
+        library = None if path == "python" else _library()
+        config = SystemConfig(cores=2, core_type="ooo", llc_capacity_mb=4, llc_banks=2)
+        system = SimulatedSystem(get_workload("Web Search"), config, seed=1)
+        bank = system.banks[1]
+        lines = [k * bank.num_sets * 2 + 1 for k in range(bank.associativity + 1)]
+        reads = len(lines)
+        core0 = CoreTrace(
+            instruction_gap=[1] * reads, address=[line * 64 for line in lines],
+            is_instruction=[False] * reads, is_write=[False] * reads, shared=[False] * reads,
+        )
+        core1 = CoreTrace(
+            instruction_gap=[1], address=[0], is_instruction=[False], is_write=[False],
+            shared=[False],
+        )
+        system._measure([core0, core1], library)
+        assert bank.stats.evictions == 1
+        assert system.directory.sharers_of(0) == frozenset({1})
+        assert system.directory.sharers_of(lines[0] * 64) == frozenset()
+        assert system.directory.sharers_of(lines[-1] * 64) == frozenset({0})
+
+
+class TestCompiledKernel:
+    """The C measured window equals the Python cores + ``llc_request``, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        workload=st.sampled_from([w.name for w in default_suite()]),
+        cores=st.integers(min_value=1, max_value=16),
+        llc_mb=st.sampled_from([0.25, 1.0, 4.0]),
+        banks=st.sampled_from([None, 1, 2, 3, 4]),
+        interconnect=st.sampled_from(["ideal", "crossbar", "mesh"]),
+        warmup=st.booleans(),
+        memory_channels=st.sampled_from([None, 1, 2, 3]),
+        instructions=st.integers(min_value=1, max_value=3000),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_c_equals_python(
+        self, workload, cores, llc_mb, banks, interconnect, warmup, memory_channels,
+        instructions, seed,
+    ):
+        library = _library()
+        config = SystemConfig(
+            cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect=interconnect,
+            llc_banks=banks,
+        )
+        args = (get_workload(workload), config, instructions, seed, warmup)
+        compiled = _measured(*args, library, memory_channels=memory_channels)
+        python = _measured(*args, None, memory_channels=memory_channels)
+        assert _end_state(compiled) == _end_state(python)
+        assert compiled.stats.llc_accesses > 0
+
+    def test_directory_state_carries_into_the_kernel(self):
+        # Entries the directory holds before the window seed the kernel's table.
+        library = _library()
+        workload = get_workload("Data Serving")
+        config = SystemConfig(cores=4, core_type="ooo", llc_capacity_mb=1)
+        systems = []
+        for kernel in (library, None):
+            system = SimulatedSystem(workload, config, seed=3)
+            generator = SyntheticTraceGenerator(workload, cores=4, seed=3, core_type="ooo")
+            traces = generator.traces(2000)
+            for core, trace in enumerate(traces):
+                for address in trace.address[:40].tolist():
+                    system.directory.access((core + 1) % 4, address, is_write=core % 2 == 0)
+            system._measure(traces, kernel)
+            systems.append(system)
+        assert systems[0].directory.stats.lookups > systems[0].stats.llc_accesses
+        assert _end_state(systems[0]) == _end_state(systems[1])
+
+    @pytest.mark.parametrize("path", ["python", "c"])
+    def test_catalog_stats_digest(self, path):
+        # SimulationStats of all 112 catalog points (figure_3_3, figure_4_3),
+        # captured with the Python model before the kernel existed.
+        from repro.runtime.bench import sim_catalog_points
+
+        library = None if path == "python" else _library()
+        digest = hashlib.sha256()
+        for workload, config, instructions, seed in sim_catalog_points():
+            system = _measured(workload, config, instructions, seed, True, library)
+            digest.update(repr(dataclasses.astuple(system.stats)).encode())
+        assert digest.hexdigest() == (
+            "8bfb217ed7ba6b0b0b27896a88f106ac72df338f04643130dd85d1c80b120528"
+        )
+
+    def test_without_library_run_takes_python_path_identically(self, monkeypatch):
+        from repro.obs.tracer import Tracer, use_tracer
+        from repro.service import native
+
+        workload = get_workload("Web Frontend")
+        config = SystemConfig(cores=8, core_type="ooo", llc_capacity_mb=2, interconnect="mesh")
+        runs = {}
+        for path in ("c", "python"):
+            if path == "python":
+                monkeypatch.setattr(native, "_library", None)
+            else:
+                _library()
+            tracer = Tracer()
+            with use_tracer(tracer):
+                runs[path] = SimulatedSystem(workload, config, seed=5).run(3000)
+            other = "python" if path == "c" else "c"
+            assert tracer.counters()[f"sim.kernel.{path}"] == 1
+            assert f"sim.kernel.{other}" not in tracer.counters()
+        assert runs["c"] == runs["python"]
+
+    def test_more_than_64_cores_take_python_path(self, monkeypatch):
+        from repro.obs.tracer import Tracer, use_tracer
+        from repro.service import native
+        from repro.sim import kernel
+
+        library = _library()
+        workload = get_workload("Web Search")
+        config = SystemConfig(cores=65, core_type="ooo", llc_capacity_mb=4)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            stats = SimulatedSystem(workload, config, seed=2).run(400)
+        assert tracer.counters()["sim.kernel.python"] == 1
+        assert "sim.kernel.c" not in tracer.counters()
+        monkeypatch.setattr(native, "_library", None)
+        assert SimulatedSystem(workload, config, seed=2).run(400) == stats
+        traces = SyntheticTraceGenerator(workload, cores=65, seed=2).traces(400)
+        with pytest.raises(ValueError, match="1 to 64 cores"):
+            kernel.run_window(library, SimulatedSystem(workload, config, seed=2), traces)
+
+    def test_kernel_rejects_what_it_cannot_index(self):
+        from repro.sim import kernel
+
+        library = _library()
+        workload = get_workload("Web Search")
+        config = SystemConfig(cores=2, core_type="ooo", llc_capacity_mb=1, llc_banks=2)
+        traces = SyntheticTraceGenerator(workload, cores=2, seed=1).traces(1000)
+        negative = CoreTrace(
+            instruction_gap=[1], address=[-64], is_instruction=[False], is_write=[False],
+            shared=[False],
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            kernel.run_window(library, SimulatedSystem(workload, config), [traces[0], negative])
+        system = SimulatedSystem(workload, config)
+        system.banks[1] = SetAssociativeCache(64 * 64, 4)
+        with pytest.raises(ValueError, match="tags"):
+            kernel.run_window(library, system, traces)

@@ -1,13 +1,16 @@
 """Tests for workload profiles, miss-ratio curves, the suite, and trace generation."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads import (
     CLOUDSUITE,
     CaptureCurve,
+    CoreTrace,
     MissRatioCurve,
     SyntheticTraceGenerator,
     WorkloadSuite,
@@ -17,7 +20,7 @@ from repro.workloads import (
 )
 from repro.workloads.cloudsuite import MEDIA_STREAMING, WEB_SEARCH
 from repro.workloads.profile import CoreBehavior, WorkloadProfile
-from repro.workloads.traces import LINE_BYTES
+from repro.workloads.traces import LINE_BYTES, WRITE_FRACTION
 
 
 class TestCaptureCurve:
@@ -225,16 +228,21 @@ class TestWorkloadSuite:
             default_suite()["unknown"]
 
 
+def _same_trace(a, b):
+    """Whether two traces agree on every column."""
+    return all(np.array_equal(x, y) for x, y in zip(a.columns(), b.columns()))
+
+
 class TestSyntheticTraces:
     def test_deterministic_given_seed(self):
         generator = SyntheticTraceGenerator(WEB_SEARCH, cores=4, seed=3)
         again = SyntheticTraceGenerator(WEB_SEARCH, cores=4, seed=3)
-        assert generator.events_for_core(1, 2000) == again.events_for_core(1, 2000)
+        assert _same_trace(generator.events_for_core(1, 2000), again.events_for_core(1, 2000))
 
     def test_different_seeds_differ(self):
         a = SyntheticTraceGenerator(WEB_SEARCH, cores=2, seed=1).events_for_core(0, 2000)
         b = SyntheticTraceGenerator(WEB_SEARCH, cores=2, seed=2).events_for_core(0, 2000)
-        assert a != b
+        assert not _same_trace(a, b)
 
     def test_event_rate_matches_profile(self):
         generator = SyntheticTraceGenerator(WEB_SEARCH, cores=1, seed=1)
@@ -244,16 +252,17 @@ class TestSyntheticTraces:
 
     def test_addresses_line_aligned(self):
         generator = SyntheticTraceGenerator(MEDIA_STREAMING, cores=2, seed=9)
-        for event in generator.events_for_core(0, 3000):
-            assert event.address % LINE_BYTES == 0
-            assert event.instruction_gap >= 1
+        trace = generator.events_for_core(0, 3000)
+        assert len(trace) > 0
+        assert (trace.address % LINE_BYTES == 0).all()
+        assert (trace.instruction_gap >= 1).all()
 
     def test_instruction_events_are_reads(self):
         generator = SyntheticTraceGenerator(WEB_SEARCH, cores=1, seed=4)
-        for event in generator.events_for_core(0, 5000):
-            if event.is_instruction:
-                assert not event.is_write
-                assert not event.shared
+        trace = generator.events_for_core(0, 5000)
+        assert trace.is_instruction.any()
+        assert not (trace.is_instruction & trace.is_write).any()
+        assert not (trace.is_instruction & trace.shared).any()
 
     def test_traces_for_all_cores(self):
         generator = SyntheticTraceGenerator(WEB_SEARCH, cores=3, seed=1)
@@ -277,5 +286,100 @@ class TestSyntheticTraces:
         events = generator.events_for_core(0, instructions)
         if len(events) < 50:
             return
-        shared = sum(1 for e in events if e.shared) / len(events)
+        shared = int(events.shared.sum()) / len(events)
         assert shared <= WEB_SEARCH.snoop_fraction * 4 + 0.05
+
+    def test_core_trace_columns(self):
+        trace = CoreTrace(
+            instruction_gap=[3, 1], address=[64, 128], is_instruction=[1, 0],
+            is_write=[0, 1], shared=[0, 0],
+        )
+        assert len(trace) == 2 and trace.address.dtype == np.int64
+        assert trace.is_instruction.dtype == np.bool_ and trace.is_write.tolist() == [False, True]
+        assert len(CoreTrace.empty()) == 0
+        with pytest.raises(ValueError, match="equal length"):
+            CoreTrace(instruction_gap=[1], address=[64, 128], is_instruction=[0],
+                      is_write=[0], shared=[0])
+
+
+def _per_event_trace(generator, core_id, instructions):
+    """The per-event generator the columnar one replaced, kept as its oracle.
+
+    One ``rng.choice`` over region names, then the gaps and the two flag
+    draws, then one scalar ``rng.integers`` per event, in event order.
+    """
+    rng = np.random.default_rng((generator.seed, core_id, generator.cores, 0xC0DE))
+    p = [
+        generator.l1i_miss_per_instr, generator.dataset_per_instr,
+        generator.capturable_per_instr, generator.shared_small_per_instr,
+    ]
+    p_total = sum(p)
+    n_events = max(1, int(round(instructions * p_total)))
+    kinds = rng.choice(
+        ["instructions", "dataset", "capturable", "shared_small"],
+        size=n_events, p=[x / p_total for x in p],
+    )
+    gaps = rng.poisson(instructions / n_events, size=n_events)
+    writes = rng.random(n_events) < WRITE_FRACTION
+    shared_draw = rng.random(n_events) < generator.workload.snoop_fraction
+    rows = []
+    for kind, gap, is_write, is_shared in zip(kinds, gaps, writes, shared_draw):
+        is_instruction = kind == "instructions"
+        if is_instruction:
+            region, is_write, is_shared = generator.regions["instructions"], False, False
+        elif is_shared:
+            region = generator.regions["shared_hot"]
+        else:
+            region = generator.regions[str(kind)]
+        lines = max(1, region.size_bytes // LINE_BYTES)
+        address = region.base + int(rng.integers(0, lines)) * LINE_BYTES
+        rows.append((int(max(1, gap)), address, bool(is_instruction), bool(is_write), bool(is_shared)))
+    return rows
+
+
+class TestTraceDraws:
+    """The columnar trace draws exactly what one draw per event did."""
+
+    @pytest.mark.parametrize(
+        "highs",
+        [[1] * 40, [2] * 40, [1 << 28] * 40, [(1 << 32) + 12345] * 40,
+         [1, 2, 1 << 28, (1 << 33) + 7, 3, 1] * 10],
+        ids=["1", "2", "2^28", "above-2^32", "mixed"],
+    )
+    def test_array_integers_match_scalar_draws(self, highs):
+        # events_for_core rests on this numpy behaviour; if an upgrade breaks
+        # it, traces (and every simulated row) would move silently.
+        vector, scalar = np.random.default_rng(42), np.random.default_rng(42)
+        drawn = vector.integers(0, np.array(highs, dtype=np.int64))
+        assert drawn.tolist() == [int(scalar.integers(0, high)) for high in highs]
+        assert vector.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("workload", [w.name for w in CLOUDSUITE])
+    @pytest.mark.parametrize("cores,seed", [(1, 1), (3, 7), (16, 11)])
+    def test_columns_match_per_event_generator(self, workload, cores, seed):
+        generator = SyntheticTraceGenerator(get_workload(workload), cores=cores, seed=seed)
+        for core_id in sorted({0, cores - 1}):
+            trace = generator.events_for_core(core_id, 3000)
+            expected = _per_event_trace(generator, core_id, 3000)
+            for column, values in zip(trace.columns(), zip(*expected)):
+                assert column.tolist() == list(values)
+
+    def test_catalog_traces_digest(self):
+        # Every trace figure_3_3 and figure_4_3 simulate (763 calls), hashed
+        # column by column; captured with the per-event generator.
+        from repro.runtime.bench import sim_catalog_points
+
+        digest = hashlib.sha256()
+        calls = events = 0
+        for workload, config, instructions, seed in sim_catalog_points():
+            generator = SyntheticTraceGenerator(
+                workload, cores=config.cores, seed=seed, core_type=config.core_type
+            )
+            for trace in generator.traces(instructions):
+                calls, events = calls + 1, events + len(trace)
+                for column in trace.columns():
+                    digest.update(column.tobytes())
+        assert (calls, events) == (763, 181_812)
+        assert digest.hexdigest() == (
+            "c985b3d25fbe29739b2254e24dc7fb905718787ff1a4502fdbdb906928e0798f"
+        )
