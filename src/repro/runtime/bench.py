@@ -60,6 +60,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.noc.topology import NocTopology
     from repro.perfmodel.analytic import SystemConfig
     from repro.workloads.profile import WorkloadProfile
 
@@ -310,7 +313,67 @@ def _bench_search(strategy: str) -> "Callable[[Mapping[str, object]], dict[str, 
     return runner
 
 
-def sim_catalog_points() -> "list[tuple[WorkloadProfile, SystemConfig, int, int]]":
+def noc_catalog_routes() -> "list[tuple[str, NocTopology, np.ndarray, np.ndarray]]":
+    """The catalog's 11,980 searched NoC routes, at the experiments' defaults.
+
+    The topologies that route by shortest-path search rather than by a
+    builder's routing function: ``figure_4_6``/``figure_4_8``'s 64-core
+    NOC-Out (the seven workloads' traffic, 4,000 cycles, seed 1), then
+    ``fault_noc_links``'s four faulted 64-core meshes (1, 2, 4 and 8 links
+    down, fault seed 7; Web Search traffic, 6,000 cycles, seed 1).  Each
+    entry is ``(label, topology, sources, destinations)`` with one row per
+    distinct (source, destination) pair the traffic sends, in ascending
+    ``source * nodes + destination`` order.
+    """
+    import numpy as np
+
+    from repro.experiments.faults import DEFAULT_FAULT_SEED
+    from repro.faults.generator import FaultLoadConfig, FaultLoadGenerator
+    from repro.faults.noc import apply_link_faults, undirected_links
+    from repro.noc.simulation import PodNocStudy, _cached_topology, _cached_traffic_batch
+    from repro.noc.traffic import bilateral_injection_rate
+    from repro.workloads import default_suite
+
+    suite = default_suite()
+
+    def pairs(topology: "NocTopology", workloads: "Sequence[WorkloadProfile]", duration: int):
+        """Distinct (source, destination) pairs of the workloads' traffic."""
+        study = PodNocStudy(duration_cycles=duration, seed=1)
+        nodes = topology.graph.number_of_nodes()
+        keys = [
+            batch.source * nodes + batch.destination
+            for batch in (
+                _cached_traffic_batch(
+                    tuple(topology.core_nodes),
+                    tuple(topology.llc_nodes),
+                    bilateral_injection_rate(workload, per_core_ipc=0.5),
+                    workload.snoop_fraction,
+                    study.seed,
+                    study.duration_cycles,
+                    study.active_cores_for(workload),
+                )
+                for workload in workloads
+            )
+        ]
+        unique = np.unique(np.concatenate(keys))
+        return unique // nodes, unique % nodes
+
+    nocout = _cached_topology("nocout", 64)
+    routes = [("nocout", nocout, *pairs(nocout, list(suite), 4_000))]
+    mesh = _cached_topology("mesh", 64)
+    mesh_pairs = pairs(mesh, [suite["Web Search"]], 6_000)
+    for failed in (1, 2, 4, 8):
+        schedule = FaultLoadGenerator(
+            FaultLoadConfig(num_failed_links=failed, num_degraded_links=0,
+                            link_degradation_factor=4.0),
+            seed=DEFAULT_FAULT_SEED,
+        ).schedule(1, 1.0, links=undirected_links(mesh))
+        faulted = apply_link_faults(mesh, schedule.link_faults)
+        routes.append((f"mesh-{failed}-down", faulted, *mesh_pairs))
+    return routes
+
+
+def sim_catalog_points()-> "list[tuple[WorkloadProfile, SystemConfig, int, int]]":
     """The catalog's 112 cycle-level simulation points, at the experiments' defaults.
 
     ``figure_3_3``'s 105 (seven workloads, then three interconnects, then
