@@ -13,16 +13,17 @@ Fault semantics:
   weight grows by the same factor, so shortest-path routing steers traffic
   around the slow link when an alternative exists;
 * ``"down"`` -- both directed edges are removed, *unless* removal would cut
-  some core off from some LLC bank (checked via strongly connected
-  components over the core+LLC node set), in which case the link is degraded
+  some core off from some LLC bank (checked by a strongly connected
+  test over the core+LLC node set), in which case the link is degraded
   by ``latency_factor`` instead -- a partitioned network has no defined
   latency, so the transform refuses to create one.
 
 The faulted topology drops the builder's oblivious routing function (XY or
 row/column routing would happily route straight through a missing link) and
-falls back to weighted shortest paths.  Both NoC engines consume
-``topology.route()``, and the fastpath compiles its tables per topology
-instance, so fastpath and reference stay bit-identical under faults.
+falls back to weighted shortest paths.  The reference engine finds them
+with ``topology.route()`` and the fastpath with one compiled search per
+topology instance that transcribes it, so fastpath and reference stay
+bit-identical under faults.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from repro.faults.events import LinkFault
+from repro.noc.graph import DiGraph, strongly_connected
 from repro.noc.topology import LinkAttributes, NocTopology
 
 
@@ -47,16 +47,7 @@ def undirected_links(topology: NocTopology) -> "tuple[tuple[int, int], ...]":
     )
 
 
-def _cores_and_llcs_connected(graph: "nx.DiGraph", topology: NocTopology) -> bool:
-    """Whether every core and LLC node still sits in one mutual-reach SCC."""
-    required = set(topology.core_nodes) | set(topology.llc_nodes)
-    for component in nx.strongly_connected_components(graph):
-        if required <= component:
-            return True
-    return False
-
-
-def _degrade(graph: "nx.DiGraph", a: int, b: int, factor: float) -> None:
+def _degrade(graph: DiGraph, a: int, b: int, factor: float) -> None:
     """Multiply one directed edge's latency and routing weight by ``factor``."""
     edge = graph.edges[a, b]
     attrs: LinkAttributes = edge["attrs"]
@@ -99,7 +90,7 @@ def apply_link_faults(
         if fault.severity == "down":
             removed = [(x, y, dict(graph.edges[x, y])) for x, y in directed]
             graph.remove_edges_from(directed)
-            if _cores_and_llcs_connected(graph, topology):
+            if strongly_connected(graph, [*topology.core_nodes, *topology.llc_nodes]):
                 if tracer.enabled:
                     tracer.counter("faults.link_down").add()
                 continue

@@ -16,8 +16,8 @@ Two execution paths produce bit-identical results (see
   drives packets -- individually via :meth:`NocNetwork.send` or wholesale via
   :meth:`NocNetwork.run_batch` on a :class:`~repro.noc.fastpath.PacketBatch` --
   through :mod:`repro.noc.fastpath`'s tight kernel;
-* the **reference path** (``use_fastpath=False``) walks the networkx graph per
-  packet, exactly as the original implementation did.
+* the **reference path** (``use_fastpath=False``) walks the topology graph
+  per packet, exactly as the original implementation did.
 
 Latency statistics are maintained as running (sum, count) pairs updated at
 delivery time, so collection is O(1) memory per message class on both paths.
@@ -105,8 +105,8 @@ class NocNetwork:
         self._class_sums: "dict[MessageClass, list]" = {}
         if use_fastpath:
             self._compiled = compile_topology(topology)
-            self._next_free: "list[float]" = [0.0] * self._compiled.num_links
-            self._flits_carried: "list[int]" = [0] * self._compiled.num_links
+            self._next_free = np.zeros(self._compiled.num_links, dtype=np.float64)
+            self._flits_carried = np.zeros(self._compiled.num_links, dtype=np.int64)
             self._links = None
         else:
             self._compiled = None
@@ -132,22 +132,12 @@ class NocNetwork:
         return time
 
     def _send_fast(self, packet: Packet) -> "tuple[float, int]":
-        """One packet through the compiled kernel's per-hop recurrence."""
-        route = self._compiled.route_for(packet.source, packet.destination)
-        next_free = self._next_free
-        flits_carried = self._flits_carried
-        flits = packet.flits
-        time = packet.injection_time
-        for pipeline, link, latency in route.hops:
-            time += pipeline
-            free = next_free[link]
-            start = time if time >= free else free
-            next_free[link] = start + flits
-            flits_carried[link] += flits
-            time = start + latency
-        time += route.tail_pipeline
-        time += flits - 1
-        return time, route.num_hops
+        """One packet through the batch kernel, as a batch of one."""
+        result = process_batch(
+            self._compiled, PacketBatch.from_packets([packet]), self.config,
+            self._next_free, self._flits_carried,
+        )
+        return float(result.arrival_time[0]), int(result.hops[0])
 
     def _send_reference(self, packet: Packet) -> "tuple[float, int]":
         """The original per-packet graph walk (escape hatch)."""
@@ -257,7 +247,7 @@ class NocNetwork:
     def total_flit_hops(self) -> int:
         """Total flit-hops carried (the energy model's activity measure)."""
         if self.use_fastpath:
-            return sum(self._flits_carried)
+            return int(self._flits_carried.sum())
         return sum(state.flits_carried for state in self._links.values())
 
     def max_link_utilization(self, elapsed_cycles: float) -> float:
@@ -265,11 +255,11 @@ class NocNetwork:
         if elapsed_cycles <= 0:
             return 0.0
         if self.use_fastpath:
-            if not self._flits_carried:
+            if not len(self._flits_carried):
                 return 0.0
             # Busy cycles equal flits carried: every traversal occupies the
             # link for exactly one cycle per flit.
-            busiest = float(max(self._flits_carried))
+            busiest = float(self._flits_carried.max())
         else:
             if not self._links:
                 return 0.0

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-import networkx as nx
+from repro.noc.graph import DiGraph, bidirectional_dijkstra
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,14 @@ class LinkAttributes:
 class NocTopology:
     """A routed NoC topology.
 
+    Node ids are ``0 .. N-1`` for an ``N``-node graph, and every core and LLC
+    node is in the graph (checked at construction), so route tables can be
+    indexed densely by node id.
+
     Attributes:
         name: topology name ("mesh", "fbfly", "nocout").
-        graph: directed graph; edges carry :class:`LinkAttributes` under ``attrs``.
+        graph: directed graph; edges carry :class:`LinkAttributes` under
+            ``attrs`` and a routing weight under ``weight``.
         core_nodes: node ids that host cores (traffic sources/sinks).
         llc_nodes: node ids that host LLC banks (traffic destinations).
         router_pipeline_cycles: per-router pipeline depth, by node id.
@@ -47,7 +52,7 @@ class NocTopology:
     """
 
     name: str
-    graph: "nx.DiGraph"
+    graph: DiGraph
     core_nodes: "list[int]"
     llc_nodes: "list[int]"
     router_pipeline_cycles: "dict[int, int]"
@@ -59,6 +64,14 @@ class NocTopology:
     #: cached shortest paths (filled lazily)
     _paths: "dict[tuple[int, int], list[int]]" = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        nodes = self.graph.nodes
+        if set(nodes) != set(range(len(nodes))):
+            raise ValueError(f"{self.name}: node ids must be 0..{len(nodes) - 1}")
+        missing = sorted(set(self.core_nodes).union(self.llc_nodes).difference(nodes))
+        if missing:
+            raise ValueError(f"{self.name}: core/LLC nodes {missing} are not in the graph")
+
     def route(self, source: int, destination: int) -> "list[int]":
         """Nodes along the route from ``source`` to ``destination`` (inclusive)."""
         key = (source, destination)
@@ -67,7 +80,7 @@ class NocTopology:
             if self.routing is not None:
                 path = self.routing(source, destination)
             else:
-                path = nx.shortest_path(self.graph, source, destination, weight="weight")
+                _, path = bidirectional_dijkstra(self.graph, source, destination)
             self._paths[key] = path
         return path
 
@@ -121,7 +134,7 @@ def build_mesh(
     3 cycles/hop.
     """
     rows, cols = _grid_dims(cores)
-    graph = nx.DiGraph()
+    graph = DiGraph()
     positions: "dict[int, tuple[float, float]]" = {}
     link_cycles = max(1, hop_latency_cycles - router_pipeline_cycles)
     for node in range(rows * cols):
@@ -176,7 +189,7 @@ def build_flattened_butterfly(
     hops.
     """
     rows, cols = _grid_dims(cores)
-    graph = nx.DiGraph()
+    graph = DiGraph()
     positions: "dict[int, tuple[float, float]]" = {}
     for node in range(rows * cols):
         r, c = divmod(node, cols)
@@ -231,21 +244,23 @@ def build_nocout(
     """NOC-Out: reduction/dispersion trees into a central flattened-butterfly LLC row.
 
     Core nodes are numbered ``0 .. cores-1``; LLC nodes are ``cores .. cores +
-    llc_tiles - 1``.  Cores are split into columns above and below the LLC row;
-    each column is chained into the LLC tile at its foot (a reduction tree in one
-    direction, a dispersion tree in the other -- modelled as symmetric 1-cycle
-    links).  LLC tiles are fully connected to each other.
+    llc_tiles - 1``.  Each LLC tile's ``cores // llc_tiles`` cores form a column
+    split across the LLC row: the tree above it takes the larger half (the
+    ceiling), the tree below the rest.  Each tree is chained into the LLC tile
+    at its foot (a reduction tree in one direction, a dispersion tree in the
+    other -- modelled as symmetric 1-cycle links).  LLC tiles are fully
+    connected to each other.
     """
     if cores % llc_tiles != 0:
         raise ValueError("cores must be a multiple of llc_tiles")
-    cores_per_tree = cores // llc_tiles // 2  # trees above and below the LLC row
-    cores_per_tree = max(1, cores_per_tree)
-    graph = nx.DiGraph()
+    column = cores // llc_tiles
+    upper = -(-column // 2)  # trees above and below the LLC row
+    graph = DiGraph()
     positions: "dict[int, tuple[float, float]]" = {}
     router_pipeline: "dict[int, int]" = {}
 
     llc_nodes = [cores + i for i in range(llc_tiles)]
-    llc_row_y = cores_per_tree
+    llc_row_y = upper
     for i, llc in enumerate(llc_nodes):
         graph.add_node(llc)
         positions[llc] = (i, llc_row_y)
@@ -255,13 +270,11 @@ def build_nocout(
     # above and below (Figure 4.4).
     core_id = 0
     for i, llc in enumerate(llc_nodes):
-        for side in (-1, +1):
+        for side, tree_cores in ((-1, upper), (+1, column - upper)):
             previous = llc
-            for depth in range(1, cores_per_tree + 1):
+            for depth in range(1, tree_cores + 1):
                 node = core_id
                 core_id += 1
-                if core_id > cores:
-                    break
                 graph.add_node(node)
                 positions[node] = (i, llc_row_y + side * depth)
                 router_pipeline[node] = tree_hop_cycles

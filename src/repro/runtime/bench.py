@@ -4,7 +4,8 @@
 -- once on the default fast path and once on the pre-PR reference path (the
 ``use_fastpath=False`` / ``engine="event"`` escape hatches, the pure-Python
 Pareto reference and exhaustive exploration for the DSE targets, the
-per-line LLC warm-up and the Python cores for the sim targets, or the
+per-line LLC warm-up and the Python cores for the sim targets, the Python
+route search for the ``noc_routes`` target, or the
 analytic model with its design caches cleared for the perfmodel target) --
 and writes one JSON file
 per domain (``BENCH_noc.json``, ``BENCH_service.json``, ``BENCH_dse.json``,
@@ -30,7 +31,7 @@ Schema (``schema: 1``)::
                         "cache_status": "disabled"},
           "speedup": 3.46,                     # reference wall / fastpath wall
           "tracer": {                          # telemetry overhead guard
-            "parameters": {"duration_cycles": 8000, "executor": "serial"},
+            "parameters": {"duration_cycles": 48000, "executor": "serial"},
             "pairs": 7, "disabled_wall_s": 0.52, "enabled_wall_s": 0.53,
             "overhead_pct": 0.4, "limit_pct": 5.0
           }
@@ -373,6 +374,80 @@ def noc_catalog_routes() -> "list[tuple[str, NocTopology, np.ndarray, np.ndarray
     return routes
 
 
+#: Interleaved repeats of each ``noc_routes`` variant (medians recorded).
+_NOC_ROUTES_REPEATS = 3
+
+
+def _bench_noc_routes(overrides: "Mapping[str, object]") -> "dict[str, object]":
+    """Time the compiled route search against its Python port on the catalog's routes.
+
+    Every one of the 11,980 :func:`noc_catalog_routes` is searched by
+    :func:`~repro.noc.fastpath.search_routes` (one ``noc_routes`` call per
+    topology into the compiled library) and by
+    :func:`~repro.noc.graph.bidirectional_dijkstra` one pair at a time, the
+    search it transcribes and its oracle.  Each variant is timed
+    ``_NOC_ROUTES_REPEATS`` times, interleaved, and the medians are recorded,
+    with whether both found the same paths.  Without a compiled library both
+    variants run the Python search.  The target takes no ``--set``
+    overrides.
+    """
+    from repro.noc.fastpath import search_routes
+    from repro.noc.graph import bidirectional_dijkstra
+    from repro.service import native
+
+    library = native.load()
+    routes = noc_catalog_routes()
+
+    def compiled() -> "list[list[list[int]]]":
+        """Every topology's paths from one batched search."""
+        return [
+            search_routes(topology.graph, sources, destinations)
+            for _, topology, sources, destinations in routes
+        ]
+
+    def python() -> "list[list[list[int]]]":
+        """Every path from the Python port, one search per pair."""
+        return [
+            [
+                bidirectional_dijkstra(topology.graph, s, d)[1]
+                for s, d in zip(sources.tolist(), destinations.tolist())
+            ]
+            for _, topology, sources, destinations in routes
+        ]
+
+    fast_walls: "list[float]" = []
+    reference_walls: "list[float]" = []
+    identical = True
+    for _ in range(_NOC_ROUTES_REPEATS):
+        start = time.perf_counter()
+        fast_paths = compiled()
+        fast_walls.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        reference_paths = python()
+        reference_walls.append(time.perf_counter() - start)
+        identical = identical and fast_paths == reference_paths
+    fast_wall = statistics.median(fast_walls)
+    reference_wall = statistics.median(reference_walls)
+    count = sum(len(sources) for _, _, sources, _ in routes)
+    return {
+        "unit": "routes",
+        "units": count,
+        "parameters": {"topologies": len(routes), "repeats": _NOC_ROUTES_REPEATS},
+        "fastpath": {
+            "wall_s": round(fast_wall, 6),
+            "units_per_s": round(count / max(fast_wall, 1e-9), 1),
+            "kernel": "python" if library is None else "c",
+        },
+        "reference": {
+            "wall_s": round(reference_wall, 6),
+            "units_per_s": round(count / max(reference_wall, 1e-9), 1),
+        },
+        "speedup": round(reference_wall / max(fast_wall, 1e-9), 2),
+        "routes": count,
+        "routes_identical": identical,
+    }
+
+
 def sim_catalog_points()-> "list[tuple[WorkloadProfile, SystemConfig, int, int]]":
     """The catalog's 112 cycle-level simulation points, at the experiments' defaults.
 
@@ -657,9 +732,9 @@ class BenchTarget:
     runner: "Callable[[Mapping[str, object]], dict[str, object]] | None" = None
 
 
-#: The recorded perf trajectory: NoC, service, the three DSE benchmarks, the
-#: cycle-level simulator's LLC warm-up and measured window, and the analytic
-#: model's design cache.
+#: The recorded perf trajectory: NoC packets and route search, service, the
+#: three DSE benchmarks, the cycle-level simulator's LLC warm-up and measured
+#: window, and the analytic model's design cache.
 BENCH_TARGETS: "dict[str, BenchTarget]" = {
     "figure_4_6": BenchTarget(
         experiment_id="figure_4_6",
@@ -667,6 +742,12 @@ BENCH_TARGETS: "dict[str, BenchTarget]" = {
         unit="packets",
         reference_overrides={"use_fastpath": False},
         count_units=_noc_packet_count,
+    ),
+    "noc_routes": BenchTarget(
+        experiment_id="noc_routes",
+        domain="noc",
+        unit="routes",
+        runner=_bench_noc_routes,
     ),
     "service_latency_sweep": BenchTarget(
         experiment_id="service_latency_sweep",
@@ -760,7 +841,7 @@ def _timed_variant(experiment_id: str, kwargs: "dict[str, object]") -> "dict[str
 #: variants take: about 0.5 s per run on a quiet 2-vCPU x86-64 VM, long
 #: enough that the 5% budget sits well above timer noise.
 _TRACER_OVERHEAD_TARGETS: "dict[str, dict[str, object]]" = {
-    "figure_4_6": {"duration_cycles": 8_000},
+    "figure_4_6": {"duration_cycles": 48_000},
     "service_latency_sweep": {"num_requests": 64_000},
 }
 

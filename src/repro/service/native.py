@@ -1,9 +1,10 @@
 """Compiled kernels: built on first use, cached per user, loaded with ctypes.
 
 ``kernels.c`` (next to this module) holds C versions of the two serving
-kernels in :mod:`repro.service.cluster`, and ``repro/sim/kernel.c`` the
-cycle-level simulator's measured window (:mod:`repro.sim.kernel`).  Both are
-built into one library.  :func:`load` compiles it with the local ``gcc`` the
+kernels in :mod:`repro.service.cluster`, ``repro/sim/kernel.c`` the
+cycle-level simulator's measured window (:mod:`repro.sim.kernel`), and
+``repro/noc/kernel.c`` the NoC's route search and packet replay
+(:mod:`repro.noc.fastpath`).  All three are built into one library.  :func:`load` compiles it with the local ``gcc`` the
 first time a kernel runs -- never at import -- and returns the loaded
 library, or ``None`` when no compiler is found or the build fails; the
 callers then run the pure-Python models, which stay the oracles.
@@ -43,6 +44,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SOURCES = (
     Path(__file__).with_name("kernels.c"),
     Path(__file__).parents[1] / "sim" / "kernel.c",
+    Path(__file__).parents[1] / "noc" / "kernel.c",
 )
 
 _UNLOADED = object()
@@ -97,6 +99,15 @@ def _build_and_load() -> "ctypes.CDLL | None":
         pointers, pointers, pointers, ints, doubles,
         doubles, ints, doubles, ints, words, ints,
         ints, words, ints, ints, doubles,
+        doubles, ints, doubles,
+    ]
+    library.noc_routes.restype = size
+    library.noc_routes.argtypes = [
+        size, ints, ints, doubles, ints, ints, doubles, size, ints, ints, ints, ints,
+    ]
+    library.noc_replay.restype = None
+    library.noc_replay.argtypes = [
+        size, ints, doubles, ints, ints, ints, ints, ints, ints, ints, ints,
         doubles, ints, doubles,
     ]
     return library

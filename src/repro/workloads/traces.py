@@ -39,9 +39,6 @@ from repro.workloads.profile import WorkloadProfile
 #: Cache line size used throughout the reproduction (Table 2.2).
 LINE_BYTES = 64
 
-#: Data references issued per instruction by the synthetic cores (loads + stores).
-DATA_ACCESS_RATE = 0.32
-
 #: Fraction of data references that are writes.
 WRITE_FRACTION = 0.22
 

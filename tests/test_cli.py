@@ -199,6 +199,7 @@ class TestBench:
         by_id = {entry["experiment"]: entry for entry in envelope["entries"]}
         assert set(by_id) == {
             "figure_4_6",
+            "noc_routes",
             "service_latency_sweep",
             "fleet_scale_day",
             "pareto_kernel",
@@ -224,6 +225,10 @@ class TestBench:
         assert sim_run["stats_identical"] is True
         assert sim_run["points"] == 112 and sim_run["parameters"]["repeats"] >= 3
         assert sim_run["llc_accesses"] == sim_run["units"] == 181_812
+        noc_routes = by_id["noc_routes"]
+        assert noc_routes["routes_identical"] is True
+        assert noc_routes["routes"] == noc_routes["units"] == 11_980
+        assert noc_routes["parameters"] == {"topologies": 5, "repeats": 3}
         perfmodel = by_id["perfmodel_sweep"]
         assert perfmodel["estimates_identical"] is True
         assert perfmodel["estimates"] == perfmodel["units"] == 1512
@@ -231,7 +236,7 @@ class TestBench:
         for experiment in ("figure_4_6", "service_latency_sweep"):
             tracer = by_id[experiment]["tracer"]
             assert tracer["pairs"] >= 5 and tracer["limit_pct"] == 5.0
-        assert by_id["figure_4_6"]["tracer"]["parameters"]["duration_cycles"] == 8_000
+        assert by_id["figure_4_6"]["tracer"]["parameters"]["duration_cycles"] == 48_000
         assert by_id["service_latency_sweep"]["tracer"]["parameters"]["num_requests"] == 64_000
         for domain, experiment in (("noc", "figure_4_6"), ("service", "service_latency_sweep"),
                                    ("dse", "pareto_kernel"), ("sim", "sim_warm"),
@@ -241,6 +246,8 @@ class TestBench:
             assert payload["entries"][0]["experiment"] == experiment
         sim_entries = json.loads((tmp_path / "BENCH_sim.json").read_text())["entries"]
         assert [entry["experiment"] for entry in sim_entries] == ["sim_warm", "sim_run"]
+        noc_entries = json.loads((tmp_path / "BENCH_noc.json").read_text())["entries"]
+        assert [entry["experiment"] for entry in noc_entries] == ["figure_4_6", "noc_routes"]
 
     def test_bench_json_unregistered_id_times_fastpath_only(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -22,6 +22,7 @@ ENFORCED = [
     REPO / "src" / "repro" / "technology",
     REPO / "src" / "repro" / "service" / "cluster.py",
     REPO / "src" / "repro" / "noc" / "fastpath.py",
+    REPO / "src" / "repro" / "noc" / "graph.py",
     REPO / "src" / "repro" / "sim",
     REPO / "src" / "repro" / "workloads",
 ]

@@ -273,8 +273,7 @@ class TestNocLinkFaults:
         )
 
     def test_partitioning_removal_degrades_instead(self):
-        import networkx as nx
-
+        from repro.noc.graph import strongly_connected
         from repro.noc.simulation import _cached_topology
 
         tree = _cached_topology("nocout", 64)
@@ -287,10 +286,7 @@ class TestNocLinkFaults:
         # so cores and LLCs stay mutually reachable (some edges survive).
         assert faulted.graph.number_of_edges() > 0
         required = set(faulted.core_nodes) | set(faulted.llc_nodes)
-        assert any(
-            required <= component
-            for component in nx.strongly_connected_components(faulted.graph)
-        )
+        assert strongly_connected(faulted.graph, required)
 
     def test_generator_samples_links_deterministically(self):
         mesh = self._mesh()

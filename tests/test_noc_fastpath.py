@@ -2,13 +2,21 @@
 bit for bit -- per-packet latencies and every derived statistic -- on all three
 topologies and across link widths."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.noc.fastpath import PacketBatch, sequential_sum
+from repro.faults.events import LinkFault
+from repro.faults.noc import apply_link_faults, undirected_links
+from repro.noc.fastpath import CLASS_ORDER, PacketBatch, sequential_sum
 from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.packet import MessageClass, Packet
-from repro.noc.simulation import PodNocStudy
+from repro.noc.simulation import PodNocStudy, _cached_topology
+from repro.obs.tracer import Tracer, use_tracer
+from repro.runtime.executor import SweepExecutor
+from repro.service import native
 from repro.noc.topology import build_flattened_butterfly, build_mesh, build_nocout
 from repro.noc.traffic import BilateralTrafficGenerator
 from repro.workloads import WorkloadSuite, get_workload
@@ -188,3 +196,126 @@ class TestMixedUsage:
         network.run_batch(PacketBatch.from_packets([first]))
         network.send(second)
         assert second.latency > mesh.zero_load_latency(0, 3, flits=second.flits)
+
+
+# -------------------------------------------------- compiled replay vs Python
+def _library():
+    library = native.load()
+    if library is None:  # pragma: no cover - every CI runner has gcc
+        pytest.skip("no C compiler: the compiled replay is unavailable")
+    return library
+
+
+@contextmanager
+def _python_kernels():
+    """Run the body as if no compiler were found (the Python replay)."""
+    saved = native._library
+    native._library = None
+    try:
+        yield
+    finally:
+        native._library = saved
+
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("batch"), st.integers(0, 2**16), st.integers(50, 400)),
+        st.tuples(
+            st.just("send"),
+            st.integers(0, 2**16),
+            st.floats(0.0, 500.0, allow_nan=False),
+            st.sampled_from(CLASS_ORDER),
+            st.integers(0, 6),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    topology_name=st.sampled_from(["mesh", "fbfly", "nocout", "faulted"]),
+    link_width_bits=st.sampled_from([32, 128]),
+    operations=_OPERATIONS,
+)
+def test_compiled_replay_equals_the_python_replay(topology_name, link_width_bits, operations):
+    """Arrivals, hops and link state after every step of a mixed sequence
+    of batches and single sends are equal on the C and Python replays."""
+    _library()
+    if topology_name == "faulted":
+        mesh = build_mesh(16)
+        links = undirected_links(mesh)
+        topology = apply_link_faults(
+            mesh,
+            (LinkFault(link=links[3], severity="down"),
+             LinkFault(link=links[7], severity="degraded", latency_factor=2.0)),
+        )
+    else:
+        topology = TOPOLOGY_BUILDERS[topology_name](16)
+    config = NocConfig(link_width_bits=link_width_bits)
+    compiled = NocNetwork(topology, config)
+    python = NocNetwork(topology, config)
+    endpoints = sorted(set(topology.core_nodes) | set(topology.llc_nodes))
+    next_id = 10**6
+    for operation in operations:
+        if operation[0] == "batch":
+            _, seed, duration = operation
+            batch = _traffic(topology, seed=seed).generate_batch(duration, 8)
+            expected = compiled.run_batch(batch)
+            with _python_kernels():
+                actual = python.run_batch(batch)
+            assert expected.arrival_time.tobytes() == actual.arrival_time.tobytes()
+            assert np.array_equal(expected.hops, actual.hops)
+        else:
+            _, seed, time, message_class, flits = operation
+            rng = np.random.default_rng(seed)
+            source, destination = (int(node) for node in rng.choice(endpoints, 2))
+            packets = [
+                Packet(source, destination, message_class, injection_time=time,
+                       flits=flits, packet_id=next_id)
+                for _ in range(2)
+            ]
+            next_id += 1
+            arrival = compiled.send(packets[0])
+            with _python_kernels():
+                assert python.send(packets[1]) == arrival
+            assert packets[0].hops == packets[1].hops
+        assert compiled._next_free.tobytes() == python._next_free.tobytes()
+        assert np.array_equal(compiled._flits_carried, python._flits_carried)
+    assert compiled.average_latency_by_class() == python.average_latency_by_class()
+    assert compiled.average_hops() == python.average_hops()
+
+
+def test_without_library_study_takes_python_path_identically():
+    """With no compiled library the study's routes and replays run in
+    Python, count ``noc.kernel.python`` and return identical results."""
+    _library()
+    suite = WorkloadSuite((get_workload("Web Search"), get_workload("Data Serving")))
+
+    def evaluate():
+        # Fresh topologies, so the route tables are compiled under this library.
+        _cached_topology.cache_clear()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            study = PodNocStudy(duration_cycles=800, suite=suite, seed=4)
+            rows = study.evaluate(executor=SweepExecutor(mode="serial"))
+        return rows, tracer.counters()
+
+    compiled_rows, compiled_counters = evaluate()
+    with _python_kernels():
+        python_rows, python_counters = evaluate()
+    _cached_topology.cache_clear()
+    assert python_rows == compiled_rows
+    assert compiled_counters["noc.kernel.c"] == 6 and "noc.kernel.python" not in compiled_counters
+    assert python_counters["noc.kernel.python"] == 6 and "noc.kernel.c" not in python_counters
+
+
+def test_batch_rejects_nodes_outside_the_graph():
+    network = NocNetwork(build_mesh(16))
+    for source in (-1, 16):
+        batch = PacketBatch.from_packets(
+            [Packet(source, 3, MessageClass.RESPONSE, injection_time=0.0, packet_id=0)]
+        )
+        with pytest.raises(ValueError, match=r"node ids must lie in 0..15"):
+            network.run_batch(batch)

@@ -18,7 +18,8 @@ def test_pyproject_declares_the_repro_package():
     assert project["dependencies"] == ["numpy"]
     setuptools = metadata["tool"]["setuptools"]
     assert setuptools["packages"]["find"]["where"] == ["src"]
-    # native.py compiles the C serving and simulation kernels from the
+    # native.py compiles the C serving, simulation and NoC kernels from the
     # installed source files.
     assert setuptools["package-data"]["repro.service"] == ["kernels.c"]
     assert setuptools["package-data"]["repro.sim"] == ["kernel.c"]
+    assert setuptools["package-data"]["repro.noc"] == ["kernel.c"]
